@@ -81,4 +81,7 @@ pub use minhash::{
     sig_gen_parallel, sig_gen_parallel_budgeted, HashFamily, ShardFingerprint, ShardFold,
     SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };
-pub use pipeline::{DiverseResult, Fingerprint, SelectionMethod, ShardedFingerprintRun, SkyDiver};
+pub use pipeline::{
+    canonical_skyline, DiverseResult, Fingerprint, SelectionMethod, ShardedFingerprintRun, SkyDiver,
+    SkylinePhase,
+};

@@ -11,9 +11,9 @@
 //! * [`sig_gen_if`] — index-free single pass (Fig. 3),
 //! * [`sig_gen_ib`] — aggregate-R*-tree traversal that updates whole
 //!   fully-dominated MBRs without opening them (Fig. 4),
-//! * [`sig_gen_parallel`] — sharded variant of `sig_gen_if` (the paper's
-//!   future-work item ii), merging per-shard matrices by element-wise
-//!   minimum,
+//! * [`sig_gen_parallel`] — column-split variant of `sig_gen_if` (the
+//!   paper's future-work item ii): each thread folds every row into its
+//!   own block of signature columns,
 //! * [`sig_gen_ib_active`] — an engineering refinement of `sig_gen_ib`
 //!   that inherits dominance classifications down the tree
 //!   (bit-identical output, much less CPU for large skylines),

@@ -44,14 +44,14 @@ impl SignatureMatrix {
     #[inline]
     pub fn update_column(&mut self, j: usize, row_hashes: &[u64]) {
         debug_assert_eq!(row_hashes.len(), self.t);
-        let col = &mut self.data[j * self.t..(j + 1) * self.t];
-        for (slot, &h) in col.iter_mut().zip(row_hashes) {
-            // lint: allow(R2) -- t slot-wise minima per dominated point;
-            // the row loops charge the budget
-            if h < *slot {
-                *slot = h;
-            }
-        }
+        fold_min(&mut self.data[j * self.t..(j + 1) * self.t], row_hashes);
+    }
+
+    /// The raw column-major slots: column `j` is `[j·t, (j+1)·t)`, so a
+    /// run of consecutive columns is one contiguous sub-slice — what the
+    /// column-split parallel fold hands each thread.
+    pub(super) fn slots_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// Estimated Jaccard similarity `Ĵs(i, j)`: the fraction of slots
@@ -108,6 +108,19 @@ impl SignatureMatrix {
     /// of the paper's Figure 13 memory comparison.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Folds one dominated row's hashes into a signature column: slot-wise
+/// minimum (the paper's `UpdateMatrix`).
+#[inline]
+pub(super) fn fold_min(col: &mut [u64], row_hashes: &[u64]) {
+    for (slot, &h) in col.iter_mut().zip(row_hashes) {
+        // lint: allow(R2) -- t slot-wise minima per dominated point;
+        // the row loops charge the budget
+        if h < *slot {
+            *slot = h;
+        }
     }
 }
 

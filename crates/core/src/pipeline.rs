@@ -19,9 +19,11 @@
 //! unbudgeted run would have selected; a fingerprint-phase interrupt
 //! yields the skyline plus partial scores with an empty selection.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
+use skydiver_data::dominance::MinDominance;
 use skydiver_data::{Dataset, Preference, ShardedDataset};
 use skydiver_rtree::{
     BufferPool, FaultInjection, RTree, DEFAULT_CACHE_FRACTION, DEFAULT_PAGE_SIZE,
@@ -41,8 +43,7 @@ use crate::error::{Result, SkyDiverError};
 use crate::graph::DominanceGraph;
 use crate::lsh::{LshIndex, LshParams};
 use crate::minhash::{
-    sig_gen_if_budgeted, sig_gen_parallel_budgeted, HashFamily, ShardFingerprint, SigGenOutput,
-    SignatureAccumulator, SignatureMatrix,
+    HashFamily, ShardFingerprint, SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };
 
 /// Which phase-2 representation drives the selection.
@@ -182,6 +183,38 @@ impl DiverseResult {
     }
 }
 
+/// What [`canonical_skyline`] yields: the canonical rows, plus the
+/// ascending skyline ids or the interrupt that stopped the run before
+/// its skyline phase.
+pub type SkylinePhase<'a> = (Cow<'a, Dataset>, std::result::Result<Vec<usize>, Interrupt>);
+
+/// The skyline phase every fingerprint path shares: canonicalise `data`
+/// under `prefs`, poll `ctx` once, then take the skyline — `known`
+/// verbatim when the caller holds the skyline of exactly this data and
+/// preferences (a serving layer memoises it per dataset generation), a
+/// fresh SFS pass otherwise.
+///
+/// An empty skyline is [`SkyDiverError::EmptySkyline`].
+pub fn canonical_skyline<'a>(
+    data: &'a Dataset,
+    prefs: &[Preference],
+    known: Option<&[usize]>,
+    ctx: &ExecContext,
+) -> Result<SkylinePhase<'a>> {
+    let canon = canonicalise(data, prefs)?;
+    if let Err(int) = ctx.check(ExecPhase::Skyline) {
+        return Ok((canon, Err(int)));
+    }
+    let skyline = match known {
+        Some(skyline) => skyline.to_vec(),
+        None => sfs(canon.as_ref(), &MinDominance),
+    };
+    if skyline.is_empty() {
+        return Err(SkyDiverError::EmptySkyline);
+    }
+    Ok((canon, Ok(skyline)))
+}
+
 /// Builder for the SkyDiver pipeline.
 #[derive(Debug, Clone)]
 pub struct SkyDiver {
@@ -253,8 +286,9 @@ impl SkyDiver {
     }
 
     /// Parallelises the pipeline over `threads` threads: the index-free
-    /// pass is sharded by rows, the index-based pass partitions subtree
-    /// frontiers, and the greedy selection scans candidates in chunks.
+    /// pass splits the skyline columns, the index-based pass partitions
+    /// subtree frontiers, and the greedy selection scans candidates in
+    /// chunks.
     /// Every parallel path is bit-identical to sequential (the paper's
     /// future-work item ii).
     pub fn threads(mut self, threads: usize) -> Self {
@@ -299,9 +333,17 @@ impl SkyDiver {
     /// followed by [`SkyDiver::select_from`], except that the budget
     /// (deadline, cancellation) spans both phases as one run.
     pub fn run(&self, ds: &Dataset, prefs: &[Preference]) -> Result<DiverseResult> {
-        let ctx = ExecContext::new(self.budget.clone());
-        let fp = self.fingerprint_ctx(ds, prefs, &ctx)?;
-        self.select_from_ctx(&fp, &ctx)
+        self.run_ctx(ds, prefs, &ExecContext::new(self.budget.clone()))
+    }
+
+    fn run_ctx(
+        &self,
+        ds: &Dataset,
+        prefs: &[Preference],
+        ctx: &ExecContext,
+    ) -> Result<DiverseResult> {
+        let fp = self.fingerprint_ctx(ds, prefs, ctx)?;
+        self.select_from_ctx(&fp, ctx)
     }
 
     /// Phase 1 only: canonicalise, compute the skyline (SFS) and run
@@ -311,8 +353,7 @@ impl SkyDiver {
     /// any `k` or selection method — the contract a signature cache
     /// relies on.
     pub fn fingerprint(&self, ds: &Dataset, prefs: &[Preference]) -> Result<Fingerprint> {
-        let ctx = ExecContext::new(self.budget.clone());
-        self.fingerprint_ctx(ds, prefs, &ctx)
+        self.fingerprint_ctx(ds, prefs, &ExecContext::new(self.budget.clone()))
     }
 
     /// Phase 1 over a [`ShardedDataset`]: the skyline is computed over
@@ -326,10 +367,29 @@ impl SkyDiver {
         sd: &ShardedDataset,
         prefs: &[Preference],
     ) -> Result<ShardedFingerprintRun> {
-        self.fingerprint_sharded_with(sd, prefs, &[])
+        self.fingerprint_shards(sd, prefs, None, &[])
     }
 
-    /// [`SkyDiver::fingerprint_sharded`] with cached per-shard folds.
+    /// [`SkyDiver::fingerprint_sharded`] with cached per-shard folds:
+    /// [`SkyDiver::fingerprint_shards`] without a known skyline.
+    pub fn fingerprint_sharded_with(
+        &self,
+        sd: &ShardedDataset,
+        prefs: &[Preference],
+        cached: &[Option<Arc<ShardFingerprint>>],
+    ) -> Result<ShardedFingerprintRun> {
+        self.fingerprint_shards(sd, prefs, None, cached)
+    }
+
+    /// The fingerprint driver every phase-1 entry point runs: the
+    /// skyline phase ([`canonical_skyline`]), then one
+    /// [`fold_shard`](crate::minhash::fold_shard) per shard, merged in
+    /// shard order.
+    ///
+    /// `skyline`, when known, must be the canonical skyline of exactly
+    /// this data under `prefs` (a serving layer memoises it per dataset
+    /// generation); the SFS pass is then skipped. The skyline depends on
+    /// `(data, prefs)` only, never on `t` or the hash seed.
     ///
     /// `cached[i]`, when present, must be a *complete* fold of shard `i`
     /// in the same canonical space (same preferences) and with the same
@@ -345,26 +405,49 @@ impl SkyDiver {
     /// columns) and newly-exposed skyline points exist only in the new
     /// shard.
     ///
-    /// A budget trip mid-scan returns a partial
-    /// [`Fingerprint`] exactly like [`SkyDiver::fingerprint`] and an
-    /// empty `shards` vector — partial folds must never be cached.
-    pub fn fingerprint_sharded_with(
+    /// A budget trip mid-scan returns a partial [`Fingerprint`] exactly
+    /// like [`SkyDiver::fingerprint`] and an empty `shards` vector —
+    /// partial folds must never be cached.
+    pub fn fingerprint_shards(
         &self,
         sd: &ShardedDataset,
         prefs: &[Preference],
+        skyline: Option<&[usize]>,
         cached: &[Option<Arc<ShardFingerprint>>],
+    ) -> Result<ShardedFingerprintRun> {
+        let whole: Cow<'_, Dataset> = if sd.num_shards() == 1 {
+            Cow::Borrowed(sd.shard(0))
+        } else {
+            Cow::Owned(sd.concat())
+        };
+        let ctx = ExecContext::new(self.budget.clone());
+        self.fold_rows(&whole, &sd.shard_ranges(), prefs, skyline, cached, &ctx)
+    }
+
+    fn fingerprint_ctx(
+        &self,
+        ds: &Dataset,
+        prefs: &[Preference],
+        ctx: &ExecContext,
+    ) -> Result<Fingerprint> {
+        let run = self.fold_rows(ds, &[(0, ds.len())], prefs, None, &[], ctx)?;
+        Ok(run.fingerprint)
+    }
+
+    /// The body of [`SkyDiver::fingerprint_shards`]: `whole` holds every
+    /// row, `ranges[i]` is shard `i`'s `[lo, hi)` row range.
+    fn fold_rows(
+        &self,
+        whole: &Dataset,
+        ranges: &[(usize, usize)],
+        prefs: &[Preference],
+        known: Option<&[usize]>,
+        cached: &[Option<Arc<ShardFingerprint>>],
+        ctx: &ExecContext,
     ) -> Result<ShardedFingerprintRun> {
         if self.signature_size == 0 {
             return Err(SkyDiverError::ZeroSignatureSize);
         }
-        let ctx = ExecContext::new(self.budget.clone());
-        let whole: std::borrow::Cow<'_, Dataset> = if sd.num_shards() == 1 {
-            std::borrow::Cow::Borrowed(sd.shard(0))
-        } else {
-            std::borrow::Cow::Owned(sd.concat())
-        };
-        let canon = canonicalise(&whole, prefs)?;
-        let ord = skydiver_data::dominance::MinDominance;
         let partial = |fingerprint: Fingerprint, scanned_rows: usize| ShardedFingerprintRun {
             fingerprint,
             shards: vec![],
@@ -372,43 +455,24 @@ impl SkyDiver {
             scanned_rows,
             dominance_tests: ctx.dominance_tests(),
         };
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok(partial(
-                Fingerprint {
-                    skyline: vec![],
-                    output: SigGenOutput {
-                        matrix: SignatureMatrix::new(self.signature_size, 0),
-                        scores: vec![],
-                    },
-                    fingerprint_ms: 0.0,
-                    events: vec![],
-                    interrupt: Some(int),
-                },
-                0,
-            ));
-        }
-        let skyline = sfs(canon.as_ref(), &ord);
-        if skyline.is_empty() {
-            return Err(SkyDiverError::EmptySkyline);
-        }
+        let unscanned = |skyline: Vec<usize>, int: Interrupt| Fingerprint {
+            output: SigGenOutput {
+                matrix: SignatureMatrix::new(self.signature_size, 0),
+                scores: vec![0; skyline.len()],
+            },
+            skyline,
+            fingerprint_ms: 0.0,
+            events: vec![],
+            interrupt: Some(int),
+        };
+        let (canon, skyline) = canonical_skyline(whole, prefs, known, ctx)?;
+        let skyline = match skyline {
+            Ok(skyline) => skyline,
+            Err(int) => return Ok(partial(unscanned(vec![], int), 0)),
+        };
         let (t_eff, mut events) = match self.effective_signature_size(skyline.len()) {
             Ok(pair) => pair,
-            Err(int) => {
-                let m = skyline.len();
-                return Ok(partial(
-                    Fingerprint {
-                        skyline,
-                        output: SigGenOutput {
-                            matrix: SignatureMatrix::new(self.signature_size, 0),
-                            scores: vec![0; m],
-                        },
-                        fingerprint_ms: 0.0,
-                        events: vec![],
-                        interrupt: Some(int),
-                    },
-                    0,
-                ));
-            }
+            Err(int) => return Ok(partial(unscanned(skyline, int), 0)),
         };
         let family = HashFamily::new(t_eff, self.hash_seed);
         let m = skyline.len();
@@ -420,16 +484,13 @@ impl SkyDiver {
 
         let t0 = Instant::now();
         let mut merged = SignatureAccumulator::new(t_eff, m);
-        let mut shards: Vec<Arc<ShardFingerprint>> = Vec::with_capacity(sd.num_shards());
+        let mut shards: Vec<Arc<ShardFingerprint>> = Vec::with_capacity(ranges.len());
         let mut reused_shards = 0usize;
         let mut scanned_rows = 0usize;
         let mut tripped: Option<Interrupt> = None;
 
-        'shards: for i in 0..sd.num_shards() {
-            let lo = sd.base(i);
-            let hi = lo + sd.shard(i).len();
+        'shards: for (i, &(lo, hi)) in ranges.iter().enumerate() {
             let sview = canon.as_ref().view().slice(lo, hi);
-            let skip = &is_sky[lo..hi];
             let cache = cached
                 .get(i)
                 .and_then(|c| c.as_ref())
@@ -442,11 +503,11 @@ impl SkyDiver {
                 sview,
                 &skyline,
                 &all_cols,
-                skip,
+                &is_sky[lo..hi],
                 &family,
                 cache.map(|c| c.as_ref()),
                 self.threads,
-                &ctx,
+                ctx,
             ) {
                 crate::minhash::ShardFold::ReusedExact => {
                     // lint: allow(R1) -- ReusedExact is only returned
@@ -528,72 +589,6 @@ impl SkyDiver {
         self.select_from_ctx(fp, &ctx)
     }
 
-    fn fingerprint_ctx(
-        &self,
-        ds: &Dataset,
-        prefs: &[Preference],
-        ctx: &ExecContext,
-    ) -> Result<Fingerprint> {
-        if self.signature_size == 0 {
-            return Err(SkyDiverError::ZeroSignatureSize);
-        }
-        let canon = canonicalise(ds, prefs)?;
-        let ord = skydiver_data::dominance::MinDominance;
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            return Ok(Fingerprint {
-                skyline: vec![],
-                output: SigGenOutput {
-                    matrix: SignatureMatrix::new(self.signature_size, 0),
-                    scores: vec![],
-                },
-                fingerprint_ms: 0.0,
-                events: vec![],
-                interrupt: Some(int),
-            });
-        }
-        let skyline = sfs(canon.as_ref(), &ord);
-        if skyline.is_empty() {
-            return Err(SkyDiverError::EmptySkyline);
-        }
-        let (t_eff, mut events) = match self.effective_signature_size(skyline.len()) {
-            Ok(pair) => pair,
-            Err(int) => {
-                let m = skyline.len();
-                return Ok(Fingerprint {
-                    skyline,
-                    output: SigGenOutput {
-                        matrix: SignatureMatrix::new(self.signature_size, 0),
-                        scores: vec![0; m],
-                    },
-                    fingerprint_ms: 0.0,
-                    events: vec![],
-                    interrupt: Some(int),
-                });
-            }
-        };
-        let family = HashFamily::new(t_eff, self.hash_seed);
-        let t0 = Instant::now();
-        let (out, rows_scanned, interrupt) = if self.threads > 1 {
-            sig_gen_parallel_budgeted(canon.as_ref(), &ord, &skyline, &family, self.threads, ctx)
-        } else {
-            sig_gen_if_budgeted(canon.as_ref(), &ord, &skyline, &family, ctx)
-        };
-        let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if interrupt.is_some() {
-            events.push(DegradationEvent::FingerprintCurtailed {
-                rows_scanned,
-                rows_total: canon.len(),
-            });
-        }
-        Ok(Fingerprint {
-            skyline,
-            output: out,
-            fingerprint_ms,
-            events,
-            interrupt,
-        })
-    }
-
     fn select_from_ctx(&self, fp: &Fingerprint, ctx: &ExecContext) -> Result<DiverseResult> {
         if let Some(int) = fp.interrupt.clone() {
             return Ok(Self::partial(
@@ -627,7 +622,15 @@ impl SkyDiver {
         ds: &Dataset,
         prefs: &[Preference],
     ) -> Result<(DiverseResult, skydiver_rtree::IoStats)> {
-        let ctx = ExecContext::new(self.budget.clone());
+        self.run_index_based_ctx(ds, prefs, &ExecContext::new(self.budget.clone()))
+    }
+
+    fn run_index_based_ctx(
+        &self,
+        ds: &Dataset,
+        prefs: &[Preference],
+        ctx: &ExecContext,
+    ) -> Result<(DiverseResult, skydiver_rtree::IoStats)> {
         if self.signature_size == 0 {
             return Err(SkyDiverError::ZeroSignatureSize);
         }
@@ -670,7 +673,7 @@ impl SkyDiver {
             &pts,
             &family,
             self.threads,
-            &ctx,
+            ctx,
         );
         let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
         if let Some(fail) = pool.failure() {
@@ -688,7 +691,7 @@ impl SkyDiver {
             let r = Self::partial(skyline, out.scores, mem, fingerprint_ms, int, events);
             return Ok((r, pool.stats()));
         }
-        let result = self.finish(&skyline, &out, fingerprint_ms, events, &ctx)?;
+        let result = self.finish(&skyline, &out, fingerprint_ms, events, ctx)?;
         Ok((result, pool.stats()))
     }
 
@@ -698,13 +701,15 @@ impl SkyDiver {
     /// recorded as [`DegradationEvent::IndexFreeFallback`] in the
     /// returned report. Non-I/O errors propagate unchanged.
     ///
-    /// Note the budget applies to each attempt separately: a deadline
-    /// restarts for the fallback run.
+    /// Both attempts run under one [`ExecContext`]: the fallback gets
+    /// only what the index-based attempt left of the deadline and of the
+    /// dominance-test budget, so the whole call honours the budget once.
     pub fn run_auto(&self, ds: &Dataset, prefs: &[Preference]) -> Result<DiverseResult> {
-        match self.run_index_based(ds, prefs) {
+        let ctx = ExecContext::new(self.budget.clone());
+        match self.run_index_based_ctx(ds, prefs, &ctx) {
             Ok((result, _)) => Ok(result),
             Err(cause @ SkyDiverError::IndexReadFailure { .. }) => {
-                let mut result = self.run(ds, prefs)?;
+                let mut result = self.run_ctx(ds, prefs, &ctx)?;
                 result.degradation.events.insert(
                     0,
                     DegradationEvent::IndexFreeFallback {

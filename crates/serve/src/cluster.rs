@@ -48,9 +48,7 @@ use skydiver_core::{
     HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SigGenOutput,
     SignatureAccumulator, SignatureMatrix, StopReason,
 };
-use skydiver_data::dominance::MinDominance;
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
-use skydiver_skyline::sfs;
 
 use crate::cache::{FingerprintCache, FingerprintKey};
 use crate::client::Client;
@@ -885,29 +883,28 @@ impl ClusterState {
             return Err("signature size t must be positive".to_string());
         }
 
-        // Phase 1 locally: canonicalise + skyline, exactly as the
-        // monolithic `fingerprint_sharded_with` does before its shard
-        // loop (neither charges dominance tests).
+        // Phase 1 locally: the same skyline phase (and the same
+        // per-generation skyline memo) as the monolithic driver; neither
+        // charges dominance tests.
         let ctx = ExecContext::new(budget);
         let whole = ds.whole();
-        let canon = canonicalise(&whole, prefs).map_err(|e| e.to_string())?;
-        if let Err(int) = ctx.check(ExecPhase::Skyline) {
-            let fp = Fingerprint {
-                skyline: vec![],
-                output: SigGenOutput {
-                    matrix: SignatureMatrix::new(t, 0),
-                    scores: vec![],
-                },
-                fingerprint_ms: 0.0,
-                events: vec![],
-                interrupt: Some(int),
-            };
-            return Ok((Arc::new(fp), false, 0));
-        }
-        let skyline = sfs(canon.as_ref(), &MinDominance);
-        if skyline.is_empty() {
-            return Err("empty skyline: no finite points to diversify".to_string());
-        }
+        let (canon, skyline) = registry.skyline_phase(&ds, &whole, prefs, prefs_key, &ctx)?;
+        let skyline = match skyline {
+            Ok(skyline) => skyline,
+            Err(int) => {
+                let fp = Fingerprint {
+                    skyline: vec![],
+                    output: SigGenOutput {
+                        matrix: SignatureMatrix::new(t, 0),
+                        scores: vec![],
+                    },
+                    fingerprint_ms: 0.0,
+                    events: vec![],
+                    interrupt: Some(int),
+                };
+                return Ok((Arc::new(fp), false, 0));
+            }
+        };
         let m = skyline.len();
         let dims = routing.dims;
         let mut cols_flat = Vec::with_capacity(m * dims);

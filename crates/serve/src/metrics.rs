@@ -86,6 +86,10 @@ pub struct Metrics {
     /// Whole selections served from the per-dataset result memo
     /// (budget-free repeats of an identical query — no selection ran).
     pub selection_hits: AtomicU64,
+    /// Skylines served from the per-generation skyline memo (no SFS pass).
+    pub skyline_hits: AtomicU64,
+    /// Skylines computed because the skyline memo missed.
+    pub skyline_misses: AtomicU64,
     /// Queries that returned a degraded (budget-curtailed) result.
     pub degraded: AtomicU64,
     /// `APPEND` requests served.
@@ -159,7 +163,7 @@ impl Metrics {
             concat!(
                 "{{\"queries\":{},\"loads\":{},\"errors\":{},",
                 "\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
-                "\"selection_hits\":{},",
+                "\"selection_hits\":{},\"skyline_hits\":{},\"skyline_misses\":{},",
                 "\"degraded\":{},\"appends\":{},\"dominance_tests\":{},",
                 "\"shards_reused\":{},\"bytes_resident\":{},",
                 "\"store_hits\":{},\"store_quarantined\":{},",
@@ -181,6 +185,8 @@ impl Metrics {
             self.get(&self.cache_misses),
             self.get(&self.cache_evictions),
             self.get(&self.selection_hits),
+            self.get(&self.skyline_hits),
+            self.get(&self.skyline_misses),
             self.get(&self.degraded),
             self.get(&self.appends),
             self.get(&self.dominance_tests),

@@ -16,6 +16,14 @@
 //!   every shard fold, queues it for write-behind persistence, and
 //!   memoises the assembled artefact.
 //!
+//! The skyline depends on `(data, prefs)` only, so each dataset
+//! generation also memoises it per preference key: a miss with a fresh
+//! hash seed skips the SFS pass, and so do the coordinator's fan-out
+//! and the exact `greedy` path. A miss without a `max_dominance_tests`
+//! cap folds on every available core (bit-identical to one core); a
+//! capped one keeps the sequential row-order scan, so a tripped budget
+//! stops at the same row as a single-threaded run.
+//!
 //! Concurrency: datasets sit behind an `RwLock` (read-mostly), the
 //! cache behind a `Mutex` held only for lookups/inserts — never while
 //! fingerprinting, so concurrent cold misses on the same key may
@@ -27,16 +35,18 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use skydiver_core::{Fingerprint, RunBudget, SkyDiver};
+use skydiver_core::{
+    canonical_skyline, ExecContext, Fingerprint, RunBudget, SkyDiver, SkylinePhase,
+};
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
 use crate::cache::{FingerprintCache, FingerprintKey};
 use crate::metrics::Metrics;
 use crate::store::{content_hash, prefs_hash, SignatureStore, StoreKey, SweepReport};
 
-/// Assembled fingerprints memoised per dataset *generation*: the memo
-/// dies with its `LoadedDataset`, so `LOAD`/`APPEND` can never serve a
-/// stale whole-dataset artefact.
+/// Assembled fingerprints (and skylines) memoised per dataset
+/// *generation*: the memos die with their `LoadedDataset`, so
+/// `LOAD`/`APPEND` can never serve a stale whole-dataset artefact.
 const MEMO_CAP: usize = 16;
 
 /// Finished selections memoised per dataset generation, keyed by the
@@ -80,6 +90,10 @@ pub struct LoadedDataset {
     /// `(prefs, t, seed)`. Bounded at [`MEMO_CAP`] (cleared when full —
     /// the per-shard LRU makes re-assembly cheap).
     memo: Mutex<HashMap<(String, usize, u64), Arc<Fingerprint>>>,
+    /// Canonical skylines for this generation, keyed by preference key
+    /// (the skyline depends on neither `t` nor the seed). Bounded at
+    /// [`MEMO_CAP`] and dies with the generation like `memo`.
+    skylines: Mutex<HashMap<String, Arc<[usize]>>>,
     /// Finished selections for this generation, keyed by the full query
     /// identity. Dies with the generation like `memo`, so `LOAD` and
     /// `APPEND` can never serve a stale answer.
@@ -94,6 +108,7 @@ impl LoadedDataset {
             data,
             content_hash,
             memo: Mutex::new(HashMap::new()),
+            skylines: Mutex::new(HashMap::new()),
             selections: Mutex::new(HashMap::new()),
         }
     }
@@ -123,6 +138,22 @@ impl LoadedDataset {
             memo.clear();
         }
         memo.insert(key, fp);
+    }
+
+    fn skyline_get(&self, prefs_key: &str) -> Option<Arc<[usize]>> {
+        self.skylines
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(prefs_key)
+            .cloned()
+    }
+
+    fn skyline_put(&self, prefs_key: &str, skyline: &[usize]) {
+        let mut skylines = self.skylines.lock().unwrap_or_else(|e| e.into_inner());
+        if skylines.len() >= MEMO_CAP {
+            skylines.clear();
+        }
+        skylines.insert(prefs_key.to_string(), skyline.into());
     }
 
     pub(crate) fn selection_get(&self, key: &SelectionKey) -> Option<Arc<SelectionMemo>> {
@@ -178,6 +209,8 @@ pub struct Registry {
     cache: Mutex<FingerprintCache>,
     metrics: Arc<Metrics>,
     store: Option<Arc<SignatureStore>>,
+    /// Threads an uncapped cold fold runs on: every available core.
+    fold_threads: usize,
 }
 
 impl Registry {
@@ -200,6 +233,7 @@ impl Registry {
             cache: Mutex::new(FingerprintCache::new(cache_bytes)),
             metrics,
             store,
+            fold_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -371,6 +405,48 @@ impl Registry {
         json
     }
 
+    /// The memoised skyline of `ds` under `prefs_key`, counted as a
+    /// skyline hit or miss. After a miss, the caller computes the
+    /// skyline and hands it to [`Registry::remember_skyline`].
+    fn known_skyline(&self, ds: &LoadedDataset, prefs_key: &str) -> Option<Arc<[usize]>> {
+        let known = ds.skyline_get(prefs_key);
+        let counter = match known {
+            Some(_) => &self.metrics.skyline_hits,
+            None => &self.metrics.skyline_misses,
+        };
+        self.metrics.bump(counter);
+        known
+    }
+
+    /// Memoises a freshly computed skyline of `ds` under `prefs_key`.
+    /// An empty one — a run interrupted before its skyline phase — is
+    /// not a skyline and is ignored.
+    fn remember_skyline(&self, ds: &LoadedDataset, prefs_key: &str, skyline: &[usize]) {
+        if !skyline.is_empty() {
+            ds.skyline_put(prefs_key, skyline);
+        }
+    }
+
+    /// [`canonical_skyline`] of `whole` — the rows of `ds` — through the
+    /// generation's skyline memo: a hit skips the SFS pass, a miss
+    /// memoises its result.
+    pub(crate) fn skyline_phase<'a>(
+        &self,
+        ds: &LoadedDataset,
+        whole: &'a Dataset,
+        prefs: &[Preference],
+        prefs_key: &str,
+        ctx: &ExecContext,
+    ) -> Result<SkylinePhase<'a>, String> {
+        let known = self.known_skyline(ds, prefs_key);
+        let (canon, skyline) =
+            canonical_skyline(whole, prefs, known.as_deref(), ctx).map_err(|e| e.to_string())?;
+        if let (None, Ok(skyline)) = (&known, &skyline) {
+            self.remember_skyline(ds, prefs_key, skyline);
+        }
+        Ok((canon, skyline))
+    }
+
     /// The assembled fingerprint for `(name, prefs, t, seed)` — memoised
     /// if available, otherwise folded shard by shard under `budget`
     /// (reusing cached shard folds) and cached when complete. Returns
@@ -425,14 +501,25 @@ impl Registry {
                 }
             }
         }
+        // A dominance-test cap keeps the sequential row-order scan, so a
+        // trip lands on the same row as a single-threaded run.
+        let threads = match budget.max_dominance_tests() {
+            None => self.fold_threads,
+            Some(_) => 1,
+        };
+        let known = self.known_skyline(&ds, prefs_key);
         // `k` is irrelevant to phase 1; 2 is the smallest valid value.
         let diver = SkyDiver::new(2)
             .signature_size(t)
             .hash_seed(seed)
+            .threads(threads)
             .budget(budget);
         let run = diver
-            .fingerprint_sharded_with(&ds.data, prefs, &cached)
+            .fingerprint_shards(&ds.data, prefs, known.as_deref(), &cached)
             .map_err(|e| e.to_string())?;
+        if known.is_none() {
+            self.remember_skyline(&ds, prefs_key, &run.fingerprint.skyline);
+        }
         self.metrics
             .add(&self.metrics.dominance_tests, run.dominance_tests);
         self.metrics
@@ -705,6 +792,142 @@ mod tests {
             .append_dataset("d", anticorrelated(10, 2, 0))
             .unwrap_err();
         assert!(err.contains("dims"), "{err}");
+    }
+
+    fn skyline_counts(metrics: &Metrics) -> (u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        (
+            metrics.skyline_hits.load(Relaxed),
+            metrics.skyline_misses.load(Relaxed),
+        )
+    }
+
+    /// The same query against a registry that has never seen the data.
+    fn cold_fingerprint(data: Dataset, spec: Option<&str>, seed: u64) -> Arc<Fingerprint> {
+        let reg = Registry::new(1 << 24, Arc::new(Metrics::new()));
+        let dims = data.dims();
+        reg.insert_dataset("d", data);
+        let (prefs, key) = parse_prefs(spec, dims).unwrap();
+        let (fp, hit, _) = reg
+            .fingerprint("d", &prefs, &key, 32, seed, RunBudget::none())
+            .unwrap();
+        assert!(!hit);
+        fp
+    }
+
+    #[test]
+    fn fresh_seeds_of_one_generation_share_the_skyline() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        reg.insert_dataset("d", anticorrelated(2000, 3, 40));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        reg.fingerprint("d", &prefs, &key, 32, 1, RunBudget::none())
+            .unwrap();
+        assert_eq!(skyline_counts(&metrics), (0, 1), "first query computes it");
+        let (fp, hit, _) = reg
+            .fingerprint("d", &prefs, &key, 32, 2, RunBudget::none())
+            .unwrap();
+        assert!(!hit, "a fresh seed is a fingerprint miss");
+        assert_eq!(skyline_counts(&metrics), (1, 1), "but a skyline hit");
+        let cold = cold_fingerprint(anticorrelated(2000, 3, 40), None, 2);
+        assert_eq!(fp.skyline, cold.skyline);
+        assert_eq!(fp.output.matrix, cold.output.matrix);
+        assert_eq!(fp.output.scores, cold.output.scores);
+    }
+
+    #[test]
+    fn load_and_append_start_a_new_skyline_generation() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        reg.insert_dataset("d", anticorrelated(1500, 3, 41));
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        let query = |seed: u64| {
+            reg.fingerprint("d", &prefs, &key, 32, seed, RunBudget::none())
+                .unwrap()
+                .0
+        };
+        query(1);
+        reg.insert_dataset("d", anticorrelated(1500, 3, 42));
+        let replaced = query(2);
+        assert_eq!(skyline_counts(&metrics), (0, 2), "LOAD must miss");
+        let cold = cold_fingerprint(anticorrelated(1500, 3, 42), None, 2);
+        assert_eq!(replaced.skyline, cold.skyline, "the new data's skyline");
+        assert_eq!(replaced.output.matrix, cold.output.matrix);
+
+        reg.append_dataset("d", anticorrelated(300, 3, 43)).unwrap();
+        let appended = query(3);
+        assert_eq!(skyline_counts(&metrics), (0, 3), "APPEND must miss");
+        let mut whole = anticorrelated(1500, 3, 42);
+        for p in anticorrelated(300, 3, 43).iter() {
+            whole.push(p);
+        }
+        let cold = cold_fingerprint(whole, None, 3);
+        assert_eq!(appended.skyline, cold.skyline, "the grown data's skyline");
+        assert_eq!(appended.output.matrix, cold.output.matrix);
+        query(4);
+        assert_eq!(skyline_counts(&metrics), (1, 3), "the new generation");
+    }
+
+    #[test]
+    fn preference_keys_never_share_a_skyline() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        reg.insert_dataset("d", anticorrelated(1500, 3, 44));
+        let specs = [None, Some("max,min,min")];
+        let mut skylines = vec![];
+        for (round, seed) in [(0u64, 1u64), (1, 2)] {
+            for (i, spec) in specs.iter().enumerate() {
+                let (prefs, key) = parse_prefs(*spec, 3).unwrap();
+                let (fp, _, _) = reg
+                    .fingerprint("d", &prefs, &key, 32, seed, RunBudget::none())
+                    .unwrap();
+                let cold = cold_fingerprint(anticorrelated(1500, 3, 44), *spec, seed);
+                assert_eq!(fp.skyline, cold.skyline, "{spec:?}, round {round}");
+                assert_eq!(fp.output.matrix, cold.output.matrix, "{spec:?}");
+                if round == 0 {
+                    assert_eq!(skyline_counts(&metrics), (0, i as u64 + 1), "{spec:?}");
+                    skylines.push(fp.skyline.clone());
+                }
+            }
+        }
+        assert_ne!(skylines[0], skylines[1], "different skylines");
+        assert_eq!(skyline_counts(&metrics), (2, 2), "one entry per key");
+    }
+
+    #[test]
+    fn capped_folds_match_a_single_threaded_run_on_a_memoised_skyline() {
+        let metrics = Arc::new(Metrics::new());
+        let reg = Registry::new(1 << 24, Arc::clone(&metrics));
+        let data = anticorrelated(3000, 3, 45);
+        let mut sd = ShardedDataset::new(3);
+        sd.push_shard(data.clone());
+        reg.insert_dataset("d", data);
+        let (prefs, key) = parse_prefs(None, 3).unwrap();
+        reg.fingerprint("d", &prefs, &key, 32, 1, RunBudget::none())
+            .unwrap();
+        let m = reg.dataset("d").unwrap().skyline_get(&key).unwrap().len() as u64;
+        for cap in [0, 7 * m, 400 * m + 3] {
+            let budget = RunBudget::none().with_max_dominance_tests(cap);
+            let (fp, _, tests) = reg
+                .fingerprint("d", &prefs, &key, 32, 9, budget.clone())
+                .unwrap();
+            let want = SkyDiver::new(2)
+                .signature_size(32)
+                .hash_seed(9)
+                .threads(1)
+                .budget(budget)
+                .fingerprint_sharded_with(&sd, &prefs, &[])
+                .unwrap();
+            assert!(!fp.is_complete(), "cap {cap} must trip");
+            assert_eq!(fp.skyline, want.fingerprint.skyline, "cap {cap}");
+            let want_fp = &want.fingerprint;
+            assert_eq!(fp.output.matrix, want_fp.output.matrix, "cap {cap}");
+            assert_eq!(fp.output.scores, want_fp.output.scores, "cap {cap}");
+            assert_eq!(fp.interrupt, want.fingerprint.interrupt, "cap {cap}");
+            assert_eq!(fp.events, want.fingerprint.events, "cap {cap}");
+            assert_eq!(tests, want.dominance_tests, "cap {cap}");
+        }
+        assert_eq!(skyline_counts(&metrics), (3, 1));
     }
 
     fn tmp_store(name: &str) -> std::path::PathBuf {

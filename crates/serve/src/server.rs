@@ -56,11 +56,10 @@ use std::time::{Duration, Instant};
 
 use skydiver_cluster::frame;
 use skydiver_core::{
-    canonicalise, select_diverse_budgeted, CancelToken, Degradation, ExactJaccardDistance,
+    select_diverse_budgeted, CancelToken, Degradation, ExactJaccardDistance,
     ExecContext, GammaSets, RunBudget, SeedRule, SkyDiver, TieBreak,
 };
 use skydiver_data::dominance::MinDominance;
-use skydiver_skyline::sfs;
 
 use crate::cluster::{ClusterConfig, ClusterState, ShardHost};
 use crate::metrics::Metrics;
@@ -68,7 +67,7 @@ use crate::poll::{Event, Interest, Poller};
 use crate::protocol::{
     json_escape, parse_request, BatchSpec, Method, QuerySpec, Request, WIRE_PROTO,
 };
-use crate::registry::{parse_prefs, Registry, SelectionMemo};
+use crate::registry::{parse_prefs, LoadedDataset, Registry, SelectionMemo};
 use crate::store::SignatureStore;
 
 /// Configuration of one [`Server`].
@@ -1228,9 +1227,8 @@ fn answer_query(
         Degradation,
     ) = match q.method {
         Method::Greedy => {
-            let whole = ds.whole();
             let (skyline_len, selected, gamma, selection_ms, degradation) =
-                answer_exact(q, &whole, &prefs, budget)?;
+                answer_exact(q, registry, &ds, &prefs, &prefs_key, budget)?;
             (
                 skyline_len,
                 selected,
@@ -1485,21 +1483,25 @@ fn answer_batch(
 }
 
 /// The exact greedy baseline: dominated-set Jaccard distances over
-/// explicit [`GammaSets`] — no signatures, no cache, per-query cost
-/// `O(n · m)` like a cold fingerprint plus an exact selection.
+/// explicit [`GammaSets`] — no signatures and no fingerprint cache, per
+/// query cost `O(n · m)` like a cold fingerprint plus an exact
+/// selection. The skyline comes from the generation's skyline memo.
 #[allow(clippy::type_complexity)]
 fn answer_exact(
     q: &QuerySpec,
-    data: &skydiver_data::Dataset,
+    registry: &Registry,
+    ds: &LoadedDataset,
     prefs: &[skydiver_data::Preference],
+    prefs_key: &str,
     budget: RunBudget,
 ) -> Result<(usize, Vec<usize>, Vec<u64>, f64, Degradation), String> {
+    let whole = ds.whole();
+    // The budget governs the selection only, as it always has: the
+    // skyline phase runs unconditionally.
+    let (canon, skyline) =
+        registry.skyline_phase(ds, &whole, prefs, prefs_key, &ExecContext::unlimited())?;
+    let skyline = skyline.map_err(|int| int.to_string())?;
     let ctx = ExecContext::new(budget);
-    let canon = canonicalise(data, prefs).map_err(|e| e.to_string())?;
-    let skyline = sfs(canon.as_ref(), &MinDominance);
-    if skyline.is_empty() {
-        return Err("empty skyline".to_string());
-    }
     let t0 = Instant::now();
     let gamma = GammaSets::build(canon.as_ref(), &MinDominance, &skyline);
     let scores = gamma.scores();

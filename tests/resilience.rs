@@ -145,3 +145,62 @@ fn impossible_lsh_banding_falls_back_to_minhash_when_opted_in() {
         .any(|e| matches!(e, DegradationEvent::MinHashFallback { .. })));
     assert!(r.degradation.summary().contains("MinHash"));
 }
+
+/// `run_auto` spends one deadline, not one per attempt: an index-based
+/// attempt that burns time and then fails on a page read leaves the
+/// index-free fallback only the rest of the deadline.
+#[test]
+fn run_auto_fallback_shares_the_deadline_of_the_failed_attempt() {
+    let ds = generators::anticorrelated(40_000, 3, 46);
+    let prefs = Preference::all_min(3);
+    let cfg = SkyDiver::new(4)
+        .signature_size(128)
+        .hash_seed(3)
+        .fault_injection(FaultInjection::at_access(3));
+    // The failed attempt's cost: the R-tree bulk load, then a page
+    // fault early in BBS. Neither polls the budget.
+    let attempt = (0..2)
+        .map(|_| {
+            let t0 = Instant::now();
+            let err = cfg.run_index_based(&ds, &prefs).unwrap_err();
+            assert!(matches!(err, SkyDiverError::IndexReadFailure { .. }));
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    // The fallback's unpolled prefix: its SFS skyline pass.
+    let sfs = (0..2)
+        .map(|_| {
+            let t0 = Instant::now();
+            skydiver::skyline::sfs(&ds, &skydiver::data::dominance::MinDominance);
+            t0.elapsed()
+        })
+        .min()
+        .unwrap();
+    // Long enough to fund the attempt plus the fallback's skyline, far
+    // too short for the fallback's full fold.
+    let deadline = 2 * (attempt + sfs);
+    let t0 = Instant::now();
+    let r = cfg
+        .clone()
+        .budget(RunBudget::none().with_deadline(deadline))
+        .run_auto(&ds, &prefs)
+        .unwrap();
+    let elapsed = t0.elapsed();
+    assert!(matches!(
+        r.degradation.events.first(),
+        Some(DegradationEvent::IndexFreeFallback { .. })
+    ));
+    let int = r
+        .degradation
+        .interrupt
+        .as_ref()
+        .expect("the fallback must run out of time");
+    assert!(matches!(int.reason, StopReason::DeadlineExceeded { .. }));
+    // A fresh deadline for the fallback would take `attempt + deadline`.
+    assert!(
+        elapsed < deadline + attempt / 2,
+        "run_auto took {elapsed:?}: attempt {attempt:?} + deadline {deadline:?} means \
+         the fallback restarted the clock"
+    );
+}
