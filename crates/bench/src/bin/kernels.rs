@@ -3,9 +3,11 @@
 //! Measures, on one machine and one binary, each optimised kernel
 //! against its scalar/sequential reference:
 //!
-//! * **dominance** — the packed + blocked + monomorphic `n × m`
-//!   dominance scan ([`SkylinePack::dominators_block`]) vs the scalar
-//!   per-pair `dom_cmp` loop it replaced,
+//! * **dominance** — the pruned, packed, monomorphic `n × m`
+//!   dominance scan ([`SkylinePack::dominators_block`], which skips every
+//!   Z-ordered block of eight skyline points whose min corner cannot
+//!   dominate the row) vs the scalar per-pair `dom_cmp` loop it
+//!   replaced,
 //! * **fingerprint** — the full `SigGen-IF` pass with the packed
 //!   kernel vs the generic scalar path (forced through a dominance
 //!   order that hides the canonical-min hook); the pass also spends
@@ -132,8 +134,9 @@ enum SkyMode {
 /// The dominance kernel proper: the `n × m` scan that classifies every
 /// dataset row against the skyline. Before: the scalar per-pair
 /// `dom_cmp` loop (the pre-PR 2 inner loop). After:
-/// [`SkylinePack::dominators_block`] — packed coordinates, tiled to L1,
-/// monomorphized on `d`.
+/// [`SkylinePack::dominators_block`] — Z-ordered blocks of eight
+/// skyline points, pruned by their min corners, with a branch-free lane
+/// test monomorphized on `d`.
 fn bench_dominance(name: &'static str, family: Family, n: usize, seed: u64, mode: SkyMode) -> Pair {
     let ds = family.generate(n, 3, seed);
     let sky = match mode {

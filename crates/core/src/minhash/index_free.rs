@@ -160,12 +160,15 @@ pub(super) fn dominator_buffers() -> Vec<Vec<usize>> {
 /// slots) and the matching `scores`, with the [`SkylinePack`] of `cols`
 /// and the [`dominator_buffers`] supplied by the caller.
 ///
-/// With `pack` present (canonical all-min orders) the scan runs blocked:
-/// up to [`ROW_BLOCK`] funded rows are admitted, then tested against the
-/// packed columns one L1-sized tile at a time. Otherwise the generic
-/// per-row [`DominanceOrd`] loop runs. Both paths produce per-row
-/// dominator lists in ascending column order, so the folded matrix is
-/// bit-identical either way.
+/// Every non-skipped row is charged `m` dominance tests — the paper's
+/// logical `n·m` cost — before it is scanned, however few the pruned
+/// scan evaluates. With `pack` present (canonical all-min orders) up to
+/// [`ROW_BLOCK`] funded rows are admitted, scanned by the pack, then
+/// hashed and folded. Otherwise the generic per-row [`DominanceOrd`]
+/// loop runs. The pack lists a row's dominators in Z-order, the generic
+/// loop in ascending order; the fold of one row is a slot-wise `min`
+/// plus a score increment per dominator, both commute, so the folded
+/// matrix is bit-identical either way.
 ///
 /// Returns the number of fully folded rows — `view.len()` unless a
 /// budget tripped — and the interrupt, if any.
@@ -197,12 +200,7 @@ where
     let mut row_hashes = vec![0u64; t];
     let mut fold = |row: usize, dominators: &[usize]| {
         family.hash_all(view.global_id(row) as u64, &mut row_hashes);
-        for &j in dominators {
-            // lint: allow(R2) -- one O(t) fold per dominator of one row;
-            // both row loops below charge the budget before calling this
-            fold_min(&mut sigs[j * t..(j + 1) * t], &row_hashes);
-            scores[j] += 1;
-        }
+        fold_row(sigs, scores, &row_hashes, dominators);
     };
 
     if let Some(pack) = pack {
@@ -268,12 +266,29 @@ where
     (hi, None)
 }
 
+/// Folds one row's hashes into the column of each of its
+/// `dominators` (distinct column indices): a slot-wise `min` and a
+/// score increment per column. Each column sees the row once, so the
+/// order of `dominators` cannot change the result.
+#[inline]
+fn fold_row(sigs: &mut [u64], scores: &mut [u64], row_hashes: &[u64], dominators: &[usize]) {
+    let t = row_hashes.len();
+    for &j in dominators {
+        // lint: allow(R2) -- one O(t) fold per dominator of one row; both
+        // row loops of scan_view charge the budget before calling this
+        fold_min(&mut sigs[j * t..(j + 1) * t], row_hashes);
+        scores[j] += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gamma::GammaSets;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use skydiver_data::dominance::MinDominance;
-    use skydiver_data::generators::independent;
+    use skydiver_data::generators::{anticorrelated, independent};
     use skydiver_skyline::naive_skyline;
 
     #[test]
@@ -420,6 +435,199 @@ mod tests {
             let generic = sig_gen_if(&ds, &HiddenMin, &sky, &fam);
             assert_eq!(packed.matrix, generic.matrix, "d = {d}");
             assert_eq!(packed.scores, generic.scores, "d = {d}");
+        }
+    }
+
+    /// How an oracle case shapes its data.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        Plain,
+        /// Every other dimension maximised: negative canonical values.
+        Max,
+        /// A quarter grid (ties on every coordinate), dimension 0 flat
+        /// (zero spread, for d > 1), a quarter of the rows repeated and
+        /// the first column repeated as the last.
+        Ties,
+    }
+
+    /// Folds with `scan` under a counting context; returns the output
+    /// and the charge.
+    fn counting_fold(
+        m: usize,
+        scan: impl Fn(&ExecContext, &mut SignatureAccumulator) -> Option<Interrupt>,
+    ) -> (SigGenOutput, u64) {
+        use crate::budget::RunBudget;
+        let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+        let mut acc = SignatureAccumulator::new(16, m);
+        assert!(scan(&ctx, &mut acc).is_none());
+        (acc.into_output(), ctx.dominance_tests())
+    }
+
+    /// One oracle case: the pruned fold at threads 1 and 3 must equal
+    /// the generic `DominanceOrd` fold bit for bit, and charge the same.
+    fn check_against_oracle(ant: bool, d: usize, shape: Shape, m: usize, seed: u64) {
+        use crate::canonical::canonicalise;
+        use crate::minhash::scan_columns_parallel_budgeted;
+        use rand::seq::SliceRandom;
+        use skydiver_data::Preference;
+
+        let base = if ant {
+            anticorrelated(200, d, seed)
+        } else {
+            independent(200, d, seed)
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let raw = if shape == Shape::Ties {
+            let mut out = Dataset::new(d);
+            for p in base.iter() {
+                let q: Vec<f64> = p
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &x)| {
+                        if i == 0 && d > 1 {
+                            0.5
+                        } else {
+                            (x * 4.0).floor() / 4.0
+                        }
+                    })
+                    .collect();
+                out.push(&q);
+                if rng.gen_range(0..4) == 0 {
+                    out.push(&q);
+                }
+            }
+            out
+        } else {
+            base
+        };
+        let prefs: Vec<Preference> = (0..d)
+            .map(|i| match shape {
+                Shape::Max if i % 2 == 0 => Preference::Max,
+                _ => Preference::Min,
+            })
+            .collect();
+        let ds = canonicalise(&raw, &prefs).unwrap().into_owned();
+        // Columns: the skyline first, then other rows in a seeded order.
+        let sky = naive_skyline(&ds, &MinDominance);
+        let mut rest: Vec<usize> = (0..ds.len()).filter(|r| !sky.contains(r)).collect();
+        rest.shuffle(&mut rng);
+        let mut ids: Vec<usize> = sky.iter().chain(&rest).copied().take(m).collect();
+        if shape == Shape::Ties && m > 1 {
+            ids[m - 1] = ids[0];
+        }
+        let cols: Vec<&[f64]> = ids.iter().map(|&r| ds.point(r)).collect();
+        let mut skip = vec![false; ds.len()];
+        for &r in &ids {
+            skip[r] = true;
+        }
+        let fam = HashFamily::new(16, seed);
+        let view = ds.view();
+        let (oracle, oracle_charge) = counting_fold(m, |ctx, acc| {
+            scan_columns_budgeted(view, &HiddenMin, &cols, &skip, &fam, ctx, acc)
+        });
+        let label = format!("ant = {ant}, d = {d}, {shape:?}, m = {m}");
+        let funded = skip.iter().filter(|&&s| !s).count() as u64;
+        assert_eq!(oracle_charge, funded * m as u64, "{label}");
+        for threads in [1, 3] {
+            let (got, charge) = counting_fold(m, |ctx, acc| {
+                let ord = &MinDominance;
+                scan_columns_parallel_budgeted(view, ord, &cols, &skip, &fam, ctx, threads, acc)
+            });
+            assert_eq!(got.matrix, oracle.matrix, "{label}, threads = {threads}");
+            assert_eq!(got.scores, oracle.scores, "{label}, threads = {threads}");
+            assert_eq!(charge, oracle_charge, "{label}, threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn pruned_fold_matches_the_generic_oracle() {
+        let mut seed = 1000;
+        for ant in [false, true] {
+            for d in [1, 2, 3, 4, 5, 6, 9] {
+                for shape in [Shape::Plain, Shape::Max, Shape::Ties] {
+                    for m in [1, 7, 8, 9, 64, 65] {
+                        seed += 1;
+                        check_against_oracle(ant, d, shape, m, seed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_scan_evaluates_a_fraction_but_charges_every_test() {
+        // The shape of the served cold path: anti-correlated, d = 4,
+        // n = 8 000, so m is about a thousand.
+        use crate::budget::RunBudget;
+        let ds = anticorrelated(8000, 4, 20);
+        let sky = skydiver_skyline::sfs(&ds, &MinDominance);
+        let (n, m) = (ds.len(), sky.len());
+        assert!(m > 500, "m = {m}");
+        let mut is_sky = vec![false; n];
+        for &s in &sky {
+            is_sky[s] = true;
+        }
+        let pack = SkylinePack::pack(4, sky.iter().map(|&s| ds.point(s)));
+        let mut doms = Vec::new();
+        let evaluated: usize = (0..n)
+            .filter(|&r| !is_sky[r])
+            .map(|r| {
+                doms.clear();
+                pack.dominators_into(ds.point(r), &mut doms)
+            })
+            .sum();
+        let logical = (n - m) * m;
+        assert!(
+            evaluated * 4 <= logical,
+            "the pack evaluated {evaluated} of {logical} tests (> 25%)"
+        );
+        let ctx = ExecContext::new(RunBudget::none().with_max_dominance_tests(u64::MAX));
+        let fam = HashFamily::new(8, 20);
+        let (_, rows, int) = sig_gen_if_budgeted(&ds, &MinDominance, &sky, &fam, &ctx);
+        assert!(int.is_none());
+        assert_eq!(rows, n);
+        assert_eq!(
+            ctx.dominance_tests(),
+            logical as u64,
+            "the charge stays (n − m)·m"
+        );
+    }
+
+    #[test]
+    fn folding_a_rows_dominators_in_any_order_gives_the_same_columns() {
+        use rand::seq::SliceRandom;
+        let ds = anticorrelated(600, 3, 97);
+        let sky = naive_skyline(&ds, &MinDominance);
+        let (t, m) = (16, sky.len());
+        assert!(m > 8, "need several blocks");
+        let fam = HashFamily::new(t, 8);
+        let pack = SkylinePack::pack(3, sky.iter().map(|&s| ds.point(s)));
+        let mut rng = StdRng::seed_from_u64(97);
+        // Pack order, ascending, descending, and a fresh shuffle per row.
+        let mut accs: Vec<SignatureAccumulator> =
+            (0..4).map(|_| SignatureAccumulator::new(t, m)).collect();
+        let mut hashes = vec![0u64; t];
+        let mut doms = Vec::new();
+        for row in (0..ds.len()).filter(|r| !sky.contains(r)) {
+            doms.clear();
+            pack.dominators_into(ds.point(row), &mut doms);
+            fam.hash_all(row as u64, &mut hashes);
+            for (k, acc) in accs.iter_mut().enumerate() {
+                let mut order = doms.clone();
+                match k {
+                    0 => {}
+                    1 => order.sort_unstable(),
+                    2 => order.sort_unstable_by(|a, b| b.cmp(a)),
+                    _ => order.shuffle(&mut rng),
+                }
+                fold_row(acc.matrix.slots_mut(), &mut acc.scores, &hashes, &order);
+            }
+        }
+        let whole = sig_gen_if(&ds, &MinDominance, &sky, &fam);
+        for acc in accs {
+            let out = acc.into_output();
+            assert_eq!(out.matrix, whole.matrix);
+            assert_eq!(out.scores, whole.scores);
         }
     }
 
