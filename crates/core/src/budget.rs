@@ -180,6 +180,11 @@ impl RunBudget {
     pub fn max_dominance_tests(&self) -> Option<u64> {
         self.max_dominance_tests
     }
+
+    /// The configured wall-clock deadline, if any.
+    pub fn deadline(&self) -> Option<Duration> {
+        self.deadline
+    }
 }
 
 /// The pipeline phase at which an interruption occurred.
@@ -480,6 +485,16 @@ impl ExecContext {
             }
         }
         Ok(())
+    }
+
+    /// Adds `n` dominance tests performed elsewhere (a remote shard
+    /// fold) to the count, counted like
+    /// [`ExecContext::charge_dominance_tests`] but never checked: work
+    /// that already finished cannot trip this run.
+    pub fn record_dominance_tests(&self, n: u64) {
+        if !self.budget.is_unlimited() {
+            self.dominance_tests.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Charges `n` dominance tests and periodically runs the full

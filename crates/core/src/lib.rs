@@ -82,6 +82,6 @@ pub use minhash::{
     SigGenOutput, SignatureAccumulator, SignatureMatrix,
 };
 pub use pipeline::{
-    canonical_skyline, DiverseResult, Fingerprint, SelectionMethod, ShardedFingerprintRun, SkyDiver,
-    SkylinePhase,
+    canonical_skyline, DiverseResult, Fingerprint, FoldJob, FoldSource, LocalFolds, SelectionMethod,
+    ShardedFingerprintRun, SkyDiver, SkylinePhase, SourcedFold,
 };

@@ -43,7 +43,8 @@ use crate::error::{Result, SkyDiverError};
 use crate::graph::DominanceGraph;
 use crate::lsh::{LshIndex, LshParams};
 use crate::minhash::{
-    HashFamily, ShardFingerprint, SigGenOutput, SignatureAccumulator, SignatureMatrix,
+    fold_shard, HashFamily, ShardFingerprint, ShardFold, SigGenOutput, SignatureAccumulator,
+    SignatureMatrix,
 };
 
 /// Which phase-2 representation drives the selection.
@@ -215,6 +216,135 @@ pub fn canonical_skyline<'a>(
     Ok((canon, Ok(skyline)))
 }
 
+/// The per-run inputs every shard fold shares, computed once by the
+/// fingerprint driver ([`SkyDiver::fingerprint_shards`]).
+#[derive(Debug)]
+pub struct FoldJob<'a> {
+    /// Canonical rows of the whole dataset.
+    pub canon: &'a Dataset,
+    /// `ranges[i]` is shard `i`'s `[lo, hi)` row range in `canon`.
+    pub ranges: &'a [(usize, usize)],
+    /// Ascending global ids of the skyline members.
+    pub skyline: &'a [usize],
+    /// `columns[j]` is the canonical point of `skyline[j]`.
+    pub columns: &'a [&'a [f64]],
+    /// Per-row skyline membership over `canon`.
+    pub is_sky: &'a [bool],
+    /// The hash family, at the effective signature size.
+    pub family: &'a HashFamily,
+    /// Threads a local fold may use.
+    pub threads: usize,
+}
+
+/// One shard's fold as a [`FoldSource`] delivers it.
+#[derive(Debug, Clone)]
+pub struct SourcedFold {
+    /// The fold over every skyline column of the job — partial when
+    /// `interrupt` is set.
+    pub fold: Arc<ShardFingerprint>,
+    /// Served from a cached fold rather than a full scan.
+    pub reused: bool,
+    /// Rows of the shard actually scanned.
+    pub scanned_rows: usize,
+    /// The budget trip that curtailed this fold, in terms of the whole
+    /// run (e.g. `used` counts every test the run charged).
+    pub interrupt: Option<Interrupt>,
+}
+
+/// Where the fingerprint driver gets shard `i`'s fold: [`LocalFolds`]
+/// in process, or a remote owner in a cluster. The driver asks for
+/// shards in ascending order and stops at the first interrupt.
+///
+/// A source charges the dominance tests its folds cost to `ctx` (a
+/// remote one through [`ExecContext::record_dominance_tests`]). `Err`
+/// means the shard has no fold at all, e.g.
+/// [`StopReason::ShardUnavailable`].
+pub trait FoldSource {
+    /// Folds shard `shard` of `job`.
+    fn fold(
+        &mut self,
+        shard: usize,
+        job: &FoldJob<'_>,
+        ctx: &ExecContext,
+    ) -> std::result::Result<SourcedFold, Interrupt>;
+}
+
+/// The in-process [`FoldSource`]: [`fold_shard`] over the shard's row
+/// range.
+///
+/// `.0[i]`, when present, must be a *complete* fold of shard `i` in the
+/// same canonical space (same preferences) and with the same hash seed;
+/// entries with a mismatched signature size are ignored. The fold then
+/// reuses every cached column whose skyline point is still in the
+/// current skyline and scans **only** the columns the cache lacks — the
+/// incremental `APPEND` warm path: appending `a` rows to `n` costs
+/// `O(a · m + n · |new skyline points|)` dominance tests instead of
+/// `O((n + a) · m)`. Reuse is exact, not approximate: a surviving
+/// skyline point's fold over an old shard cannot change, since skyline
+/// members never dominate one another (so demoted members contributed
+/// nothing to surviving columns) and newly-exposed skyline points exist
+/// only in the new shard.
+#[derive(Debug, Clone, Copy)]
+pub struct LocalFolds<'a>(pub &'a [Option<Arc<ShardFingerprint>>]);
+
+impl FoldSource for LocalFolds<'_> {
+    fn fold(
+        &mut self,
+        shard: usize,
+        job: &FoldJob<'_>,
+        ctx: &ExecContext,
+    ) -> std::result::Result<SourcedFold, Interrupt> {
+        let (lo, hi) = job.ranges[shard];
+        let cache = self
+            .0
+            .get(shard)
+            .and_then(|c| c.as_ref())
+            .filter(|c| c.t() == job.family.len());
+        let fresh = |acc| {
+            Arc::new(ShardFingerprint {
+                columns: job.skyline.to_vec(),
+                acc,
+            })
+        };
+        let fold = fold_shard(
+            job.canon.view().slice(lo, hi),
+            job.skyline,
+            job.columns,
+            &job.is_sky[lo..hi],
+            job.family,
+            cache.map(|c| c.as_ref()),
+            job.threads,
+            ctx,
+        );
+        Ok(match fold {
+            ShardFold::ReusedExact => SourcedFold {
+                // lint: allow(R1) -- ReusedExact is only returned when
+                // `cache` was Some
+                fold: Arc::clone(cache.expect("exact reuse implies a cache")),
+                reused: true,
+                scanned_rows: 0,
+                interrupt: None,
+            },
+            ShardFold::ReusedSuperset(acc) => SourcedFold {
+                fold: fresh(acc),
+                reused: true,
+                scanned_rows: 0,
+                interrupt: None,
+            },
+            ShardFold::Scanned {
+                acc,
+                scanned_rows,
+                interrupt,
+            } => SourcedFold {
+                fold: fresh(acc),
+                reused: false,
+                scanned_rows,
+                interrupt,
+            },
+        })
+    }
+}
+
 /// Builder for the SkyDiver pipeline.
 #[derive(Debug, Clone)]
 pub struct SkyDiver {
@@ -367,53 +497,43 @@ impl SkyDiver {
         sd: &ShardedDataset,
         prefs: &[Preference],
     ) -> Result<ShardedFingerprintRun> {
-        self.fingerprint_shards(sd, prefs, None, &[])
+        self.fingerprint_sharded_with(sd, prefs, &[])
     }
 
     /// [`SkyDiver::fingerprint_sharded`] with cached per-shard folds:
-    /// [`SkyDiver::fingerprint_shards`] without a known skyline.
+    /// [`SkyDiver::fingerprint_shards`] over [`LocalFolds`], without a
+    /// known skyline.
     pub fn fingerprint_sharded_with(
         &self,
         sd: &ShardedDataset,
         prefs: &[Preference],
         cached: &[Option<Arc<ShardFingerprint>>],
     ) -> Result<ShardedFingerprintRun> {
-        self.fingerprint_shards(sd, prefs, None, cached)
+        self.fingerprint_shards(sd, prefs, None, &mut LocalFolds(cached))
     }
 
-    /// The fingerprint driver every phase-1 entry point runs: the
-    /// skyline phase ([`canonical_skyline`]), then one
-    /// [`fold_shard`](crate::minhash::fold_shard) per shard, merged in
-    /// shard order.
+    /// The fingerprint driver every phase-1 entry point runs, local or
+    /// distributed: the skyline phase ([`canonical_skyline`]), the
+    /// memory degrade, then one fold per shard from `source`, merged in
+    /// ascending shard order.
     ///
     /// `skyline`, when known, must be the canonical skyline of exactly
     /// this data under `prefs` (a serving layer memoises it per dataset
     /// generation); the SFS pass is then skipped. The skyline depends on
     /// `(data, prefs)` only, never on `t` or the hash seed.
     ///
-    /// `cached[i]`, when present, must be a *complete* fold of shard `i`
-    /// in the same canonical space (same preferences) and with the same
-    /// hash seed; entries with a mismatched signature size are ignored.
-    /// For each shard the run then reuses every cached column whose
-    /// skyline point is still in the current skyline and scans **only**
-    /// the columns the cache lacks — the incremental `APPEND` warm path:
-    /// appending `a` rows to `n` costs `O(a · m + n · |new skyline
-    /// points|)` dominance tests instead of `O((n + a) · m)`. Reuse is
-    /// exact, not approximate: a surviving skyline point's fold over an
-    /// old shard cannot change, since skyline members never dominate one
-    /// another (so demoted members contributed nothing to surviving
-    /// columns) and newly-exposed skyline points exist only in the new
-    /// shard.
-    ///
-    /// A budget trip mid-scan returns a partial [`Fingerprint`] exactly
-    /// like [`SkyDiver::fingerprint`] and an empty `shards` vector —
-    /// partial folds must never be cached.
+    /// The first interrupt wins. A shard fold that carries one is merged
+    /// and ends the run; a shard the source cannot fold at all ends it
+    /// before that shard. Either way the partial [`Fingerprint`] covers
+    /// exactly the merged shard prefix, shards after it are never
+    /// requested, and `shards` is empty — partial folds must never be
+    /// cached. [`LocalFolds`] documents the incremental `APPEND` reuse.
     pub fn fingerprint_shards(
         &self,
         sd: &ShardedDataset,
         prefs: &[Preference],
         skyline: Option<&[usize]>,
-        cached: &[Option<Arc<ShardFingerprint>>],
+        source: &mut dyn FoldSource,
     ) -> Result<ShardedFingerprintRun> {
         let whole: Cow<'_, Dataset> = if sd.num_shards() == 1 {
             Cow::Borrowed(sd.shard(0))
@@ -421,7 +541,7 @@ impl SkyDiver {
             Cow::Owned(sd.concat())
         };
         let ctx = ExecContext::new(self.budget.clone());
-        self.fold_rows(&whole, &sd.shard_ranges(), prefs, skyline, cached, &ctx)
+        self.fold_rows(&whole, &sd.shard_ranges(), prefs, skyline, source, &ctx)
     }
 
     fn fingerprint_ctx(
@@ -430,7 +550,8 @@ impl SkyDiver {
         prefs: &[Preference],
         ctx: &ExecContext,
     ) -> Result<Fingerprint> {
-        let run = self.fold_rows(ds, &[(0, ds.len())], prefs, None, &[], ctx)?;
+        let ranges = [(0, ds.len())];
+        let run = self.fold_rows(ds, &ranges, prefs, None, &mut LocalFolds(&[]), ctx)?;
         Ok(run.fingerprint)
     }
 
@@ -442,7 +563,7 @@ impl SkyDiver {
         ranges: &[(usize, usize)],
         prefs: &[Preference],
         known: Option<&[usize]>,
-        cached: &[Option<Arc<ShardFingerprint>>],
+        source: &mut dyn FoldSource,
         ctx: &ExecContext,
     ) -> Result<ShardedFingerprintRun> {
         if self.signature_size == 0 {
@@ -475,72 +596,43 @@ impl SkyDiver {
             Err(int) => return Ok(partial(unscanned(skyline, int), 0)),
         };
         let family = HashFamily::new(t_eff, self.hash_seed);
-        let m = skyline.len();
         let mut is_sky = vec![false; canon.len()];
         for &s in &skyline {
             is_sky[s] = true;
         }
-        let all_cols: Vec<&[f64]> = skyline.iter().map(|&s| canon.point(s)).collect();
+        let columns: Vec<&[f64]> = skyline.iter().map(|&s| canon.point(s)).collect();
+        let job = FoldJob {
+            canon: &canon,
+            ranges,
+            skyline: &skyline,
+            columns: &columns,
+            is_sky: &is_sky,
+            family: &family,
+            threads: self.threads,
+        };
 
         let t0 = Instant::now();
-        let mut merged = SignatureAccumulator::new(t_eff, m);
+        let mut merged = SignatureAccumulator::new(t_eff, skyline.len());
         let mut shards: Vec<Arc<ShardFingerprint>> = Vec::with_capacity(ranges.len());
         let mut reused_shards = 0usize;
         let mut scanned_rows = 0usize;
         let mut tripped: Option<Interrupt> = None;
-
-        'shards: for (i, &(lo, hi)) in ranges.iter().enumerate() {
-            let sview = canon.as_ref().view().slice(lo, hi);
-            let cache = cached
-                .get(i)
-                .and_then(|c| c.as_ref())
-                .filter(|c| c.t() == t_eff);
-
-            // The per-shard fold itself (cache reuse + budgeted scan)
-            // lives in `minhash::fold_shard`, shared verbatim with the
-            // distributed workers of the cluster tier.
-            let shard_fp = match crate::minhash::fold_shard(
-                sview,
-                &skyline,
-                &all_cols,
-                &is_sky[lo..hi],
-                &family,
-                cache.map(|c| c.as_ref()),
-                self.threads,
-                ctx,
-            ) {
-                crate::minhash::ShardFold::ReusedExact => {
-                    // lint: allow(R1) -- ReusedExact is only returned
-                    // when `cache` was Some
-                    let c = cache.expect("exact reuse implies a cache");
-                    merged.merge(&c.acc);
-                    reused_shards += 1;
-                    shards.push(Arc::clone(c));
-                    continue 'shards;
-                }
-                crate::minhash::ShardFold::ReusedSuperset(acc) => {
-                    reused_shards += 1;
-                    acc
-                }
-                crate::minhash::ShardFold::Scanned {
-                    acc,
-                    scanned_rows: sr,
-                    interrupt,
-                } => {
-                    scanned_rows += sr;
-                    if let Some(int) = interrupt {
-                        merged.merge(&acc);
-                        tripped = Some(int);
-                        break 'shards;
-                    }
-                    acc
+        for shard in 0..ranges.len() {
+            let fold = match source.fold(shard, &job, ctx) {
+                Ok(fold) => fold,
+                Err(int) => {
+                    tripped = Some(int);
+                    break;
                 }
             };
-            merged.merge(&shard_fp);
-            shards.push(Arc::new(ShardFingerprint {
-                columns: skyline.clone(),
-                acc: shard_fp,
-            }));
+            merged.merge(&fold.fold.acc);
+            scanned_rows += fold.scanned_rows;
+            reused_shards += usize::from(fold.reused);
+            if fold.interrupt.is_some() {
+                tripped = fold.interrupt;
+                break;
+            }
+            shards.push(fold.fold);
         }
         let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
 
@@ -1309,6 +1401,99 @@ mod tests {
             .unwrap();
         assert_eq!(r.selected, plain.selected);
         assert_eq!(r.scores, plain.scores);
+    }
+
+    /// A fold source that serves shards like [`LocalFolds`] but reports
+    /// one shard unavailable or attaches a trip to one shard's fold, and
+    /// records which shards the driver asked for.
+    #[derive(Default)]
+    struct Scripted {
+        unavailable: Option<usize>,
+        trip: Option<(usize, Interrupt)>,
+        asked: Vec<usize>,
+    }
+
+    impl FoldSource for Scripted {
+        fn fold(
+            &mut self,
+            shard: usize,
+            job: &FoldJob<'_>,
+            ctx: &ExecContext,
+        ) -> std::result::Result<SourcedFold, Interrupt> {
+            self.asked.push(shard);
+            if self.unavailable == Some(shard) {
+                return Err(Interrupt {
+                    phase: ExecPhase::Fingerprint,
+                    reason: StopReason::ShardUnavailable { shard },
+                });
+            }
+            let mut fold = LocalFolds(&[]).fold(shard, job, ctx)?;
+            if let Some((_, int)) = self.trip.as_ref().filter(|(s, _)| *s == shard) {
+                fold.interrupt = Some(int.clone());
+            }
+            Ok(fold)
+        }
+    }
+
+    /// Runs the driver over 4 shards with `source` and returns the run
+    /// plus the merge of the complete run's folds of shards `0..=last`.
+    fn scripted_run(
+        source: &mut Scripted,
+        last: usize,
+    ) -> (ShardedFingerprintRun, SignatureAccumulator, usize) {
+        let ds = anticorrelated(2000, 3, 170);
+        let prefs = Preference::all_min(3);
+        let sd = ShardedDataset::partition(&ds, 4);
+        let cfg = SkyDiver::new(2).signature_size(32).hash_seed(3);
+        let complete = cfg.fingerprint_sharded(&sd, &prefs).unwrap();
+        let mut prefix = SignatureAccumulator::new(32, complete.fingerprint.m());
+        for fold in &complete.shards[..=last] {
+            prefix.merge(&fold.acc);
+        }
+        let run = cfg.fingerprint_shards(&sd, &prefs, None, source).unwrap();
+        (run, prefix, sd.shard_range(last).1)
+    }
+
+    #[test]
+    fn unavailable_shard_ends_the_merge_before_it() {
+        let mut source = Scripted {
+            unavailable: Some(2),
+            ..Scripted::default()
+        };
+        let (run, prefix, rows) = scripted_run(&mut source, 1);
+        let fp = &run.fingerprint;
+        assert_eq!(
+            fp.interrupt,
+            Some(Interrupt {
+                phase: ExecPhase::Fingerprint,
+                reason: StopReason::ShardUnavailable { shard: 2 },
+            })
+        );
+        assert_eq!(fp.output.matrix, prefix.matrix);
+        assert_eq!(fp.output.scores, prefix.scores);
+        assert!(fp.events.iter().any(|e| matches!(
+            e,
+            DegradationEvent::FingerprintCurtailed { rows_scanned, .. } if *rows_scanned == rows
+        )));
+        assert_eq!(source.asked, vec![0, 1, 2]);
+        assert!(run.shards.is_empty(), "partial folds are never cached");
+    }
+
+    #[test]
+    fn tripped_fold_is_merged_and_ends_the_run() {
+        let int = Interrupt {
+            phase: ExecPhase::Fingerprint,
+            reason: StopReason::DominanceBudgetExhausted { used: 7, limit: 5 },
+        };
+        let mut source = Scripted {
+            trip: Some((1, int.clone())),
+            ..Scripted::default()
+        };
+        let (run, prefix, _) = scripted_run(&mut source, 1);
+        assert_eq!(run.fingerprint.interrupt, Some(int));
+        assert_eq!(run.fingerprint.output.matrix, prefix.matrix);
+        assert_eq!(run.fingerprint.output.scores, prefix.scores);
+        assert_eq!(source.asked, vec![0, 1], "shards 2 and 3 never asked");
     }
 
     use skydiver_data::Dataset;

@@ -5,12 +5,13 @@
 //! where `LOAD`/`APPEND` arrive), partitions it into shards, and routes
 //! each shard to the workers that own it under rendezvous hashing with
 //! replication factor R ([`skydiver_cluster::rendezvous`]). A `QUERY`
-//! fans out as per-shard `FOLD` requests; each worker folds its shard
-//! with the **same** `fold_shard` code the monolithic pipeline uses,
-//! returns the fold as a checksummed `SKYSIG02` frame, and the
-//! coordinator merges the folds in ascending shard order with the
-//! associative [`SignatureAccumulator`] merge, then runs selection
-//! locally.
+//! runs core's one fingerprint driver
+//! ([`SkyDiver::fingerprint_shards`](skydiver_core::SkyDiver::fingerprint_shards))
+//! with a remote fold source: shard `i`'s fold is a `FOLD` request to
+//! its owners. Each worker folds its shard with the **same**
+//! `fold_shard` code the monolithic pipeline uses and returns the fold
+//! as a checksummed `SKYSIG02` frame. The driver merges the folds in
+//! ascending shard order, and selection runs locally.
 //!
 //! **Determinism contract.** The cluster answer is bit-identical to the
 //! single-process answer because every ingredient is: canonicalisation
@@ -18,19 +19,24 @@
 //! each shard at `SHARDPUT` time as the view base), the skyline and its
 //! canonical columns are computed once on the coordinator and shipped
 //! in the `FOLD` body, and slot-min/score-sum merge is associative and
-//! commutative. Budget-tripped prefixes match too: with a
-//! dominance-test budget the fan-out runs **sequentially in shard
-//! order**, forwarding the remaining budget to each leg, so the trip
-//! lands on the same absolute row and the degraded payload (ids,
-//! status string, dominance-test count) is byte-identical.
+//! commutative. Budget-tripped prefixes match too, because the driver
+//! is shared: the partial answer covers the shards up to the first
+//! trip. With a dominance-test budget the legs run one at a time in
+//! shard order, each forwarding `limit − tests charged so far`, so the
+//! trip lands on the same absolute row and the degraded payload (ids,
+//! status string, dominance-test count) is byte-identical. Without one
+//! every leg starts at once.
 //!
 //! **Failure model.** Every leg shares one [`DeadlineBudget`] per
-//! request. A dead or slow owner is retried on the next replica with
-//! whatever time is left; a shard with no reachable owner degrades the
-//! fingerprint with [`StopReason::ShardUnavailable`] instead of failing
-//! the query. A worker joining (or recovering) pulls its shards' folds
-//! from surviving replicas via `REPLICATE`/`FETCH` — the PR 6 store
-//! codec is the replication transport — and recomputes only on a miss.
+//! request, and every leg runs on one transport, a readiness-driven
+//! state machine; if no poller can be created the query answers `ERR`.
+//! A dead or slow owner is retried on the next replica with whatever
+//! time is left. A shard with no reachable owner ends the merge before
+//! it with [`StopReason::ShardUnavailable`] instead of failing the
+//! query. A worker joining (or recovering) pulls its shards' folds
+//! from surviving replicas via `REPLICATE`/`FETCH` — the durable
+//! store's codec is the replication transport — and recomputes only on
+//! a miss.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
@@ -44,9 +50,9 @@ use skydiver_cluster::rendezvous;
 use skydiver_cluster::{DeadlineBudget, Membership};
 use skydiver_core::minhash::persist::{decode_shard_signatures, encode_shard_signatures, fnv1a64};
 use skydiver_core::{
-    canonicalise, fold_shard, CancelToken, DegradationEvent, ExecContext, ExecPhase, Fingerprint,
-    HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SigGenOutput,
-    SignatureAccumulator, SignatureMatrix, StopReason,
+    canonicalise, fold_shard, CancelToken, ExecContext, ExecPhase, Fingerprint, FoldJob,
+    FoldSource, HashFamily, Interrupt, RunBudget, ShardFingerprint, ShardFold, SourcedFold,
+    StopReason,
 };
 use skydiver_data::{Dataset, DatasetView, Preference, ShardedDataset};
 
@@ -534,13 +540,14 @@ struct DatasetRouting {
 
 /// One completed fold leg of a fan-out.
 struct Leg {
-    fp: ShardFingerprint,
+    fold: ShardFingerprint,
     reused: bool,
+    scanned: usize,
     tests: u64,
     trip: Option<LegTrip>,
 }
 
-/// A budget trip reported by a worker, in coordinator terms.
+/// A budget trip reported by a worker, in the worker's own terms.
 enum LegTrip {
     Cancelled,
     Deadline,
@@ -841,12 +848,9 @@ impl ClusterState {
 
     /// The coordinator's fingerprint path — the cluster twin of
     /// [`Registry::fingerprint`], with identical memoisation, budget and
-    /// return semantics. Fan-out legs run concurrently — multiplexed on
-    /// the calling thread by the readiness shim, not a thread per shard
-    /// — except when a dominance-test budget is set: then legs run
-    /// sequentially in shard order forwarding the remaining budget, so
-    /// the trip lands on the same absolute row as the monolithic run
-    /// and the degraded payload is bit-identical.
+    /// return semantics. Phase 1 is core's one fingerprint driver fed by
+    /// `RemoteFolds`; only the memo, the routing lookup and the
+    /// no-worker fallback live here.
     #[allow(clippy::too_many_arguments)]
     pub fn fingerprint(
         &self,
@@ -857,8 +861,6 @@ impl ClusterState {
         t: usize,
         seed: u64,
         budget: RunBudget,
-        max_dominance_tests: Option<u64>,
-        timeout_ms: Option<u64>,
     ) -> Result<(Arc<Fingerprint>, bool, u64), String> {
         let ds = registry
             .dataset(name)
@@ -879,532 +881,33 @@ impl ClusterState {
             return registry.fingerprint(name, prefs, prefs_key, t, seed, budget);
         };
         self.metrics.bump(&self.metrics.cache_misses);
-        if t == 0 {
-            return Err("signature size t must be positive".to_string());
-        }
-
-        // Phase 1 locally: the same skyline phase (and the same
-        // per-generation skyline memo) as the monolithic driver; neither
-        // charges dominance tests.
-        let ctx = ExecContext::new(budget);
-        let whole = ds.whole();
-        let (canon, skyline) = registry.skyline_phase(&ds, &whole, prefs, prefs_key, &ctx)?;
-        let skyline = match skyline {
-            Ok(skyline) => skyline,
-            Err(int) => {
-                let fp = Fingerprint {
-                    skyline: vec![],
-                    output: SigGenOutput {
-                        matrix: SignatureMatrix::new(t, 0),
-                        scores: vec![],
-                    },
-                    fingerprint_ms: 0.0,
-                    events: vec![],
-                    interrupt: Some(int),
-                };
-                return Ok((Arc::new(fp), false, 0));
-            }
-        };
-        let m = skyline.len();
-        let dims = routing.dims;
-        let mut cols_flat = Vec::with_capacity(m * dims);
-        for &s in &skyline {
-            cols_flat.extend_from_slice(canon.point(s));
-        }
-        let fold_payload = frame::encode(&frame::encode_fold_request(dims, &skyline, &cols_flat));
-        let nshards = ds.data.num_shards();
-        let deadline = DeadlineBudget::from_millis(
-            timeout_ms
-                .unwrap_or(self.fanout_timeout_ms)
-                .min(self.fanout_timeout_ms),
-        );
-
-        let t0 = Instant::now();
-        let legs: Vec<Result<Leg, String>> = if let Some(limit) = max_dominance_tests {
-            // Sequential, shard order, forwarding the remaining budget:
-            // worker i trips exactly when global used would exceed the
-            // limit, reproducing the monolithic trip row.
-            let mut out = Vec::with_capacity(nshards);
-            let mut consumed = 0u64;
-            // lint: allow(R2) -- every iteration runs under the shared
-            // fan-out `deadline` and the forwarded dominance budget; a
-            // tripped leg breaks out below
-            for shard in 0..nshards {
-                let remaining = limit.saturating_sub(consumed);
-                let leg = self.fold_leg(
-                    &nodes,
-                    name,
-                    &routing,
-                    shard,
-                    &fold_payload,
-                    prefs_key,
-                    t,
-                    seed,
-                    Some(remaining),
-                    &deadline,
-                    &skyline,
-                );
-                let stop = match &leg {
-                    Ok(l) => {
-                        consumed += l.tests;
-                        l.trip.is_some()
-                    }
-                    Err(_) => false,
-                };
-                out.push(leg);
-                if stop {
-                    break;
-                }
-            }
-            out
-        } else {
-            // Unbudgeted fan-out: all legs multiplexed on this thread by
-            // the readiness shim — no thread per shard, and the shared
-            // deadline bounds the slowest worker, not the sum of legs.
-            self.fold_legs_multiplexed(
-                &nodes,
+        let timeout_ms = budget
+            .deadline()
+            .map_or(u64::MAX, |d| d.as_millis() as u64)
+            .min(self.fanout_timeout_ms);
+        let mut source = RemoteFolds {
+            spec: LegSpec {
+                cluster: self,
+                nodes,
                 name,
-                &routing,
-                nshards,
-                &fold_payload,
+                routing,
                 prefs_key,
                 t,
                 seed,
-                &deadline,
-                &skyline,
-            )
+                timeout_ms,
+                deadline: DeadlineBudget::from_millis(timeout_ms),
+                payload: Vec::new(),
+            },
+            poller: Poller::new().map_err(|e| format!("fan-out poller unavailable: {e}"))?,
+            ahead: None,
         };
-
-        // Merge in ascending shard order (the monolithic order; the
-        // merge is commutative, so parallel completion order is moot).
-        let mut merged = SignatureAccumulator::new(t, m);
-        let mut dominance_tests = 0u64;
-        let mut reused = 0u64;
-        let mut prefix_tests = 0u64;
-        let mut interrupt: Option<Interrupt> = None;
-        let mut failed_shard: Option<usize> = None;
-        for (shard, leg) in legs.iter().enumerate() {
-            match leg {
-                Ok(l) => {
-                    merged.merge(&l.fp.acc);
-                    dominance_tests += l.tests;
-                    if l.reused {
-                        reused += 1;
-                    }
-                    if interrupt.is_none() && failed_shard.is_none() {
-                        interrupt = l.trip.as_ref().map(|trip| Interrupt {
-                            phase: ExecPhase::Fingerprint,
-                            reason: match trip {
-                                LegTrip::Cancelled => StopReason::Cancelled,
-                                LegTrip::Deadline => StopReason::DeadlineExceeded {
-                                    elapsed: ctx.elapsed(),
-                                },
-                                LegTrip::Dominance { used } => {
-                                    StopReason::DominanceBudgetExhausted {
-                                        used: prefix_tests + used,
-                                        limit: max_dominance_tests.unwrap_or(0),
-                                    }
-                                }
-                            },
-                        });
-                    }
-                    prefix_tests += l.tests;
-                }
-                Err(e) => {
-                    if failed_shard.is_none() && interrupt.is_none() {
-                        failed_shard = Some(shard);
-                        eprintln!("skydiver-cluster: shard {shard} of {name:?} failed: {e}");
-                    }
-                }
-            }
-        }
-        if let Some(shard) = failed_shard {
-            interrupt = Some(Interrupt {
-                phase: ExecPhase::Fingerprint,
-                reason: StopReason::ShardUnavailable { shard },
-            });
-        }
-        let mut events = Vec::new();
-        if interrupt.is_some() {
-            events.push(DegradationEvent::FingerprintCurtailed {
-                rows_scanned: merged.rows_consumed,
-                rows_total: canon.len(),
-            });
-        }
-        let fingerprint_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let fp = Arc::new(Fingerprint {
-            skyline,
-            output: merged.into_output(),
-            fingerprint_ms,
-            events,
-            interrupt,
-        });
-        self.metrics
-            .add(&self.metrics.dominance_tests, dominance_tests);
-        self.metrics.add(&self.metrics.shards_reused, reused);
+        let run = registry.fold_dataset(&ds, prefs, &memo_key, budget, &mut source)?;
+        let fp = Arc::new(run.fingerprint);
         if fp.is_complete() {
             ds.memo_put(memo_key, Arc::clone(&fp));
             self.note_seen(name, prefs_key, t, seed);
         }
-        Ok((fp, false, dominance_tests))
-    }
-
-    /// One shard's fold: try each owner in rendezvous order under the
-    /// shared deadline; first success wins, a failed owner falls
-    /// through to the next replica with whatever time is left.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_leg(
-        &self,
-        nodes: &[String],
-        name: &str,
-        routing: &DatasetRouting,
-        shard: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        max_dominance_tests: Option<u64>,
-        deadline: &DeadlineBudget,
-        skyline: &[usize],
-    ) -> Result<Leg, String> {
-        let owners = rendezvous::owners(nodes, shard, self.replication);
-        let mut last_err = format!("shard {shard}: no owners in roster");
-        // lint: allow(R2) -- bounded by the replication factor and the
-        // shared fan-out deadline checked on entry to every attempt
-        for (attempt, owner) in owners.iter().enumerate() {
-            let Some(ms) = deadline.remaining_ms() else {
-                last_err = format!("shard {shard}: fan-out deadline exhausted");
-                break;
-            };
-            self.metrics.bump(&self.metrics.fanout_legs);
-            if attempt > 0 {
-                self.metrics.bump(&self.metrics.fanout_retries);
-            }
-            let t0 = Instant::now();
-            match self.try_fold(
-                owner,
-                name,
-                routing,
-                shard,
-                fold_payload,
-                prefs_key,
-                t,
-                seed,
-                max_dominance_tests,
-                ms,
-                deadline,
-                skyline,
-            ) {
-                Ok(leg) => {
-                    self.metrics
-                        .fanout
-                        .record_micros(t0.elapsed().as_micros() as u64);
-                    return Ok(leg);
-                }
-                Err(e) => last_err = format!("shard {shard} via {owner}: {e}"),
-            }
-        }
-        self.metrics.bump(&self.metrics.fanout_failures);
-        Err(last_err)
-    }
-
-    /// One `FOLD` exchange with one owner.
-    #[allow(clippy::too_many_arguments)]
-    fn try_fold(
-        &self,
-        owner: &str,
-        name: &str,
-        routing: &DatasetRouting,
-        shard: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        max_dominance_tests: Option<u64>,
-        timeout_ms: u64,
-        deadline: &DeadlineBudget,
-        skyline: &[usize],
-    ) -> Result<Leg, String> {
-        let mut client = connect_deadline(owner, deadline).map_err(|e| e.to_string())?;
-        let line = fold_request_line(
-            name,
-            routing,
-            shard,
-            prefs_key,
-            t,
-            seed,
-            max_dominance_tests,
-            timeout_ms,
-            fold_payload.len(),
-        );
-        let (header, body) = client.exchange_frame(&line, Some(fold_payload))?;
-        parse_fold_leg(&header, body, routing, shard, prefs_key, t, seed, skyline)
-    }
-
-    /// All unbudgeted legs multiplexed on the calling thread: each leg
-    /// is a connect→write→read state machine driven by the readiness
-    /// shim, retried on the next replica on any failure, all under the
-    /// one shared deadline. Replaces a thread per shard — the slowest
-    /// worker bounds the wall clock, and a stalled peer can never pin a
-    /// coordinator thread past the deadline.
-    #[allow(clippy::too_many_arguments)]
-    fn fold_legs_multiplexed(
-        &self,
-        nodes: &[String],
-        name: &str,
-        routing: &DatasetRouting,
-        nshards: usize,
-        fold_payload: &[u8],
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        budget: &DeadlineBudget,
-        skyline: &[usize],
-    ) -> Vec<Result<Leg, String>> {
-        let mut poller = match Poller::new() {
-            Ok(p) => p,
-            Err(e) => {
-                // A node-local resource failure (fd limit); the blocking
-                // per-shard path still answers correctly, just serially.
-                eprintln!("skydiver-cluster: poller unavailable ({e}); sequential fan-out");
-                return (0..nshards)
-                    .map(|shard| {
-                        self.fold_leg(
-                            nodes,
-                            name,
-                            routing,
-                            shard,
-                            fold_payload,
-                            prefs_key,
-                            t,
-                            seed,
-                            None,
-                            budget,
-                            skyline,
-                        )
-                    })
-                    .collect();
-            }
-        };
-        let mut legs: Vec<LegState> = (0..nshards)
-            .map(|shard| LegState {
-                owners: rendezvous::owners(nodes, shard, self.replication),
-                attempt: 0,
-                conn: None,
-                last_err: format!("shard {shard}: no owners in roster"),
-                done: None,
-            })
-            .collect();
-        for (shard, leg) in legs.iter_mut().enumerate() {
-            self.start_leg_attempt(
-                &mut poller,
-                leg,
-                shard,
-                name,
-                routing,
-                prefs_key,
-                t,
-                seed,
-                fold_payload,
-                budget,
-            );
-        }
-        let mut events = Vec::new();
-        // lint: allow(R2) -- every pass checks the shared fan-out
-        // `budget` and fails all pending legs once it expires
-        while legs.iter().any(|l| l.done.is_none()) {
-            let Some(ms) = budget.remaining_ms() else {
-                fail_pending(&mut poller, &mut legs, &self.metrics, |shard| {
-                    format!("shard {shard}: fan-out deadline exhausted")
-                });
-                break;
-            };
-            if let Err(e) = poller.wait(&mut events, Some(Duration::from_millis(ms.min(50)))) {
-                fail_pending(&mut poller, &mut legs, &self.metrics, |shard| {
-                    format!("shard {shard}: poll wait failed: {e}")
-                });
-                break;
-            }
-            for ev in &events {
-                let shard = ev.token as usize;
-                let Some(leg) = legs.get_mut(shard) else {
-                    continue;
-                };
-                if leg.done.is_some() {
-                    continue;
-                }
-                let Some(conn) = leg.conn.as_mut() else {
-                    continue;
-                };
-                match drive_conn(
-                    &mut poller,
-                    conn,
-                    ev.token,
-                    ev.readable,
-                    ev.writable,
-                    ev.closed,
-                ) {
-                    Drive::Pending => {}
-                    Drive::Complete(line, body) => {
-                        let parsed = parse_response(&line).and_then(|header| {
-                            parse_fold_leg(
-                                &header, body, routing, shard, prefs_key, t, seed, skyline,
-                            )
-                        });
-                        match parsed {
-                            Ok(l) => {
-                                if let Some(conn) = leg.conn.take() {
-                                    self.metrics
-                                        .fanout
-                                        .record_micros(conn.started.elapsed().as_micros() as u64);
-                                    let _ = poller.deregister(conn.stream.as_raw_fd());
-                                }
-                                leg.done = Some(Ok(l));
-                            }
-                            Err(e) => self.retry_leg(
-                                &mut poller,
-                                leg,
-                                shard,
-                                &e,
-                                name,
-                                routing,
-                                prefs_key,
-                                t,
-                                seed,
-                                fold_payload,
-                                budget,
-                            ),
-                        }
-                    }
-                    Drive::Failed(e) => self.retry_leg(
-                        &mut poller,
-                        leg,
-                        shard,
-                        &e,
-                        name,
-                        routing,
-                        prefs_key,
-                        t,
-                        seed,
-                        fold_payload,
-                        budget,
-                    ),
-                }
-            }
-        }
-        legs.into_iter()
-            .enumerate()
-            .map(|(shard, l)| {
-                l.done
-                    .unwrap_or_else(|| Err(format!("shard {shard}: fan-out incomplete")))
-            })
-            .collect()
-    }
-
-    /// Drops a failed attempt's connection and moves the leg to its
-    /// next replica (or marks it failed when none remain).
-    #[allow(clippy::too_many_arguments)]
-    fn retry_leg(
-        &self,
-        poller: &mut Poller,
-        leg: &mut LegState,
-        shard: usize,
-        err: &str,
-        name: &str,
-        routing: &DatasetRouting,
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        fold_payload: &[u8],
-        budget: &DeadlineBudget,
-    ) {
-        if let Some(conn) = leg.conn.take() {
-            let _ = poller.deregister(conn.stream.as_raw_fd());
-            leg.last_err = format!("shard {shard} via {}: {err}", conn.owner);
-        }
-        self.start_leg_attempt(
-            poller,
-            leg,
-            shard,
-            name,
-            routing,
-            prefs_key,
-            t,
-            seed,
-            fold_payload,
-            budget,
-        );
-    }
-
-    /// Connects the leg's next replica (blocking connect bounded by the
-    /// remaining deadline, then switched nonblocking), queues the `FOLD`
-    /// request bytes, and registers the socket with the poller. Marks
-    /// the leg failed when every replica has been tried.
-    #[allow(clippy::too_many_arguments)]
-    fn start_leg_attempt(
-        &self,
-        poller: &mut Poller,
-        leg: &mut LegState,
-        shard: usize,
-        name: &str,
-        routing: &DatasetRouting,
-        prefs_key: &str,
-        t: usize,
-        seed: u64,
-        fold_payload: &[u8],
-        budget: &DeadlineBudget,
-    ) {
-        // lint: allow(R2) -- bounded by the replication factor, with the
-        // shared fan-out budget checked on entry to every attempt
-        while leg.attempt < leg.owners.len() {
-            let Some(ms) = budget.remaining_ms() else {
-                leg.last_err = format!("shard {shard}: fan-out deadline exhausted");
-                break;
-            };
-            let owner = leg.owners[leg.attempt].clone();
-            let attempt = leg.attempt;
-            leg.attempt += 1;
-            self.metrics.bump(&self.metrics.fanout_legs);
-            if attempt > 0 {
-                self.metrics.bump(&self.metrics.fanout_retries);
-            }
-            let started = Instant::now();
-            match connect_nonblocking(&owner, budget) {
-                Ok(stream) => {
-                    if let Err(e) = poller.register(stream.as_raw_fd(), shard as u64, Interest::BOTH)
-                    {
-                        leg.last_err = format!("shard {shard} via {owner}: register: {e}");
-                        continue;
-                    }
-                    let line = fold_request_line(
-                        name,
-                        routing,
-                        shard,
-                        prefs_key,
-                        t,
-                        seed,
-                        None,
-                        ms,
-                        fold_payload.len(),
-                    );
-                    let mut wbuf = line.into_bytes();
-                    wbuf.push(b'\n');
-                    wbuf.extend_from_slice(fold_payload);
-                    leg.conn = Some(LegConn {
-                        stream,
-                        owner,
-                        wbuf,
-                        wpos: 0,
-                        rbuf: Vec::new(),
-                        started,
-                    });
-                    return;
-                }
-                Err(e) => leg.last_err = format!("shard {shard} via {owner}: {e}"),
-            }
-        }
-        self.metrics.bump(&self.metrics.fanout_failures);
-        leg.done = Some(Err(std::mem::take(&mut leg.last_err)));
+        Ok((fp, false, run.dominance_tests))
     }
 
     /// The cluster `STATS` roll-up: the coordinator's own snapshot plus
@@ -1465,6 +968,340 @@ impl ClusterState {
     }
 }
 
+/// The coordinator's [`FoldSource`]: shard `i`'s fold is a `FOLD` leg
+/// to the shard's owners, retried on the next replica under the shared
+/// [`DeadlineBudget`] and validated by [`LegSpec::parse_fold_leg`]. A
+/// shard no owner folds is [`StopReason::ShardUnavailable`].
+///
+/// There is one transport, the poller state machine of
+/// [`RemoteFolds::fan_out`]. Without a dominance-test cap the first
+/// request starts every leg at once and later requests take the
+/// finished legs in shard order. With a cap each request runs its own
+/// leg alone, forwarding `limit − tests charged so far`, so a worker
+/// trips on the row the monolithic run trips on.
+struct RemoteFolds<'a> {
+    spec: LegSpec<'a>,
+    poller: Poller,
+    /// Legs finished ahead of the driver's requests (uncapped runs).
+    ahead: Option<std::vec::IntoIter<Result<Leg, String>>>,
+}
+
+/// What every `FOLD` leg of one fingerprint shares.
+struct LegSpec<'a> {
+    cluster: &'a ClusterState,
+    nodes: Vec<String>,
+    name: &'a str,
+    routing: DatasetRouting,
+    prefs_key: &'a str,
+    t: usize,
+    seed: u64,
+    timeout_ms: u64,
+    deadline: DeadlineBudget,
+    /// The framed `FOLD` body (skyline ids and canonical columns), built
+    /// on the first request.
+    payload: Vec<u8>,
+}
+
+impl FoldSource for RemoteFolds<'_> {
+    fn fold(
+        &mut self,
+        shard: usize,
+        job: &FoldJob<'_>,
+        ctx: &ExecContext,
+    ) -> Result<SourcedFold, Interrupt> {
+        if self.spec.payload.is_empty() {
+            let cols_flat = job.columns.concat();
+            let request = frame::encode_fold_request(job.canon.dims(), job.skyline, &cols_flat);
+            self.spec.payload = frame::encode(&request);
+            self.spec.t = job.family.len();
+            // The fan-out clock starts with the first leg, as phase 1
+            // is coordinator-local.
+            self.spec.deadline = DeadlineBudget::from_millis(self.spec.timeout_ms);
+        }
+        let before = ctx.dominance_tests();
+        let limit = ctx.budget().max_dominance_tests();
+        let leg = match limit {
+            Some(limit) => {
+                let forward = Some(limit.saturating_sub(before));
+                self.fan_out(shard..shard + 1, forward, job).pop()
+            }
+            None => {
+                if self.ahead.is_none() {
+                    self.ahead = Some(self.fan_out(0..job.ranges.len(), None, job).into_iter());
+                }
+                self.ahead.as_mut().and_then(Iterator::next)
+            }
+        };
+        let leg = match leg.unwrap_or_else(|| Err(format!("shard {shard}: fan-out incomplete"))) {
+            Ok(leg) => leg,
+            Err(e) => {
+                eprintln!(
+                    "skydiver-cluster: shard {shard} of {:?} failed: {e}",
+                    self.spec.name
+                );
+                return Err(Interrupt {
+                    phase: ExecPhase::Fingerprint,
+                    reason: StopReason::ShardUnavailable { shard },
+                });
+            }
+        };
+        ctx.record_dominance_tests(leg.tests);
+        let reason = leg.trip.map(|trip| match trip {
+            LegTrip::Cancelled => StopReason::Cancelled,
+            LegTrip::Deadline => StopReason::DeadlineExceeded {
+                elapsed: ctx.elapsed(),
+            },
+            LegTrip::Dominance { used } => StopReason::DominanceBudgetExhausted {
+                used: before + used,
+                limit: limit.unwrap_or(0),
+            },
+        });
+        Ok(SourcedFold {
+            fold: Arc::new(leg.fold),
+            reused: leg.reused,
+            scanned_rows: leg.scanned,
+            interrupt: reason.map(|reason| Interrupt {
+                phase: ExecPhase::Fingerprint,
+                reason,
+            }),
+        })
+    }
+}
+
+impl RemoteFolds<'_> {
+    /// The legs of `shards`, multiplexed on the calling thread: each leg
+    /// is a connect→write→read state machine driven by the readiness
+    /// shim, forwarding `forward` as its dominance-test cap, retried on
+    /// the next replica on any failure, all under the one shared
+    /// deadline. The slowest worker bounds the wall clock, and a stalled
+    /// peer can never pin a coordinator thread past the deadline.
+    fn fan_out(
+        &mut self,
+        shards: std::ops::Range<usize>,
+        forward: Option<u64>,
+        job: &FoldJob<'_>,
+    ) -> Vec<Result<Leg, String>> {
+        let (spec, poller) = (&self.spec, &mut self.poller);
+        let mut legs: Vec<LegState> = shards
+            .map(|shard| LegState {
+                shard,
+                owners: rendezvous::owners(&spec.nodes, shard, spec.cluster.replication),
+                attempt: 0,
+                conn: None,
+                last_err: format!("shard {shard}: no owners in roster"),
+                done: None,
+            })
+            .collect();
+        for (token, leg) in legs.iter_mut().enumerate() {
+            spec.start_leg_attempt(poller, leg, token, forward);
+        }
+        let metrics = &spec.cluster.metrics;
+        let mut events = Vec::new();
+        // lint: allow(R2) -- every pass checks the shared fan-out
+        // `deadline` and fails all pending legs once it expires
+        while legs.iter().any(|l| l.done.is_none()) {
+            let Some(ms) = spec.deadline.remaining_ms() else {
+                fail_pending(poller, &mut legs, metrics, |shard| {
+                    format!("shard {shard}: fan-out deadline exhausted")
+                });
+                break;
+            };
+            if let Err(e) = poller.wait(&mut events, Some(Duration::from_millis(ms.min(50)))) {
+                fail_pending(poller, &mut legs, metrics, |shard| {
+                    format!("shard {shard}: poll wait failed: {e}")
+                });
+                break;
+            }
+            for ev in &events {
+                let token = ev.token as usize;
+                let Some(leg) = legs.get_mut(token) else {
+                    continue;
+                };
+                if leg.done.is_some() {
+                    continue;
+                }
+                let Some(conn) = leg.conn.as_mut() else {
+                    continue;
+                };
+                let parsed =
+                    match drive_conn(poller, conn, ev.token, ev.readable, ev.writable, ev.closed) {
+                        Drive::Pending => continue,
+                        Drive::Complete(line, body) => parse_response(&line).and_then(|header| {
+                            spec.parse_fold_leg(leg.shard, job.skyline, &header, body)
+                        }),
+                        Drive::Failed(e) => Err(e),
+                    };
+                match parsed {
+                    Ok(l) => {
+                        if let Some(conn) = leg.conn.take() {
+                            metrics
+                                .fanout
+                                .record_micros(conn.started.elapsed().as_micros() as u64);
+                            let _ = poller.deregister(conn.stream.as_raw_fd());
+                        }
+                        leg.done = Some(Ok(l));
+                    }
+                    Err(e) => spec.retry_leg(poller, leg, token, &e, forward),
+                }
+            }
+        }
+        legs.into_iter()
+            .map(|l| {
+                l.done
+                    .unwrap_or_else(|| Err(format!("shard {}: fan-out incomplete", l.shard)))
+            })
+            .collect()
+    }
+}
+
+impl LegSpec<'_> {
+    /// Drops a failed attempt's connection and moves the leg to its
+    /// next replica (or marks it failed when none remain).
+    fn retry_leg(
+        &self,
+        poller: &mut Poller,
+        leg: &mut LegState,
+        token: usize,
+        err: &str,
+        forward: Option<u64>,
+    ) {
+        if let Some(conn) = leg.conn.take() {
+            let _ = poller.deregister(conn.stream.as_raw_fd());
+            leg.last_err = format!("shard {} via {}: {err}", leg.shard, conn.owner);
+        }
+        self.start_leg_attempt(poller, leg, token, forward);
+    }
+
+    /// Connects the leg's next replica (blocking connect bounded by the
+    /// remaining deadline, then switched nonblocking), queues the `FOLD`
+    /// request bytes, and registers the socket with the poller under
+    /// `token`. Marks the leg failed when every replica has been tried
+    /// or the shard is not routed.
+    fn start_leg_attempt(
+        &self,
+        poller: &mut Poller,
+        leg: &mut LegState,
+        token: usize,
+        forward: Option<u64>,
+    ) {
+        let (shard, metrics) = (leg.shard, &self.cluster.metrics);
+        // lint: allow(R2) -- bounded by the replication factor, with the
+        // shared fan-out deadline checked on entry to every attempt
+        while leg.attempt < leg.owners.len() {
+            let Some(ms) = self.deadline.remaining_ms() else {
+                leg.last_err = format!("shard {shard}: fan-out deadline exhausted");
+                break;
+            };
+            let Some(line) = self.fold_request_line(shard, forward, ms) else {
+                leg.last_err = format!("shard {shard}: not routed yet");
+                break;
+            };
+            let owner = leg.owners[leg.attempt].clone();
+            let attempt = leg.attempt;
+            leg.attempt += 1;
+            metrics.bump(&metrics.fanout_legs);
+            if attempt > 0 {
+                metrics.bump(&metrics.fanout_retries);
+            }
+            let started = Instant::now();
+            match connect_nonblocking(&owner, &self.deadline) {
+                Ok(stream) => {
+                    if let Err(e) =
+                        poller.register(stream.as_raw_fd(), token as u64, Interest::BOTH)
+                    {
+                        leg.last_err = format!("shard {shard} via {owner}: register: {e}");
+                        continue;
+                    }
+                    let mut wbuf = line.into_bytes();
+                    wbuf.push(b'\n');
+                    wbuf.extend_from_slice(&self.payload);
+                    leg.conn = Some(LegConn {
+                        stream,
+                        owner,
+                        wbuf,
+                        wpos: 0,
+                        rbuf: Vec::new(),
+                        started,
+                    });
+                    return;
+                }
+                Err(e) => leg.last_err = format!("shard {shard} via {owner}: {e}"),
+            }
+        }
+        metrics.bump(&metrics.fanout_failures);
+        leg.done = Some(Err(std::mem::take(&mut leg.last_err)));
+    }
+
+    /// Validates one `FOLD` response (header payload plus `SKYSIG02`
+    /// frame) into a completed leg: frame checksum, key tags, signature
+    /// size and skyline coverage must all match the request.
+    fn parse_fold_leg(
+        &self,
+        shard: usize,
+        skyline: &[usize],
+        header: &str,
+        body: Option<Vec<u8>>,
+    ) -> Result<Leg, String> {
+        let body = body.ok_or_else(|| "fold response carried no frame".to_string())?;
+        let payload = frame::decode(&body).map_err(|e| e.to_string())?;
+        let (fold, tags) = decode_shard_signatures(payload).map_err(|e| e.to_string())?;
+        let want = [
+            self.routing.content_hash,
+            shard as u64,
+            prefs_hash(self.prefs_key),
+            self.seed,
+        ];
+        if tags != want {
+            return Err("fold artefact key tags do not match the request".to_string());
+        }
+        if fold.t() != self.t || fold.columns != skyline {
+            return Err("fold artefact does not cover the current skyline".to_string());
+        }
+        let tests = json_kv_u64(header, "tests").unwrap_or(0);
+        let trip = match header
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix("tripped="))
+        {
+            None | Some("none") => None,
+            Some("cancelled") => Some(LegTrip::Cancelled),
+            Some("deadline") => Some(LegTrip::Deadline),
+            Some("dominance") => Some(LegTrip::Dominance {
+                used: json_kv_u64(header, "trip_used").unwrap_or(tests),
+            }),
+            Some(other) => return Err(format!("unknown trip kind {other:?}")),
+        };
+        Ok(Leg {
+            fold,
+            reused: json_kv_u64(header, "reused") == Some(1),
+            scanned: json_kv_u64(header, "scanned").unwrap_or(0) as usize,
+            tests,
+            trip,
+        })
+    }
+
+    /// The `FOLD` request line for `shard`, or `None` while the shard
+    /// has no routed content tag (an `APPEND` grows the registry before
+    /// it routes the new shard).
+    fn fold_request_line(
+        &self,
+        shard: usize,
+        forward: Option<u64>,
+        timeout_ms: u64,
+    ) -> Option<String> {
+        let shard_hash = self.routing.shard_hashes.get(shard)?;
+        let mut line = format!(
+            "FOLD dataset={} hash={} shard={shard} shard_hash={shard_hash} prefs={} \
+             t={} seed={} timeout_ms={timeout_ms}",
+            self.name, self.routing.content_hash, self.prefs_key, self.t, self.seed,
+        );
+        if let Some(n) = forward {
+            line.push_str(&format!(" max_dominance_tests={n}"));
+        }
+        line.push_str(&format!(" bytes={}", self.payload.len()));
+        Some(line)
+    }
+}
+
 /// One in-flight multiplexed fan-out connection: the queued request
 /// bytes going out and the buffered response coming back.
 struct LegConn {
@@ -1478,6 +1315,7 @@ struct LegConn {
 
 /// One shard's leg in the multiplexed fan-out.
 struct LegState {
+    shard: usize,
     owners: Vec<String>,
     attempt: usize,
     conn: Option<LegConn>,
@@ -1495,84 +1333,6 @@ enum Drive {
     Failed(String),
 }
 
-/// Builds the `FOLD` request line — one format string for the blocking
-/// and multiplexed paths, so the wire bytes cannot drift apart.
-#[allow(clippy::too_many_arguments)]
-fn fold_request_line(
-    name: &str,
-    routing: &DatasetRouting,
-    shard: usize,
-    prefs_key: &str,
-    t: usize,
-    seed: u64,
-    max_dominance_tests: Option<u64>,
-    timeout_ms: u64,
-    body_len: usize,
-) -> String {
-    let mut line = format!(
-        "FOLD dataset={name} hash={} shard={shard} shard_hash={} prefs={prefs_key} \
-         t={t} seed={seed} timeout_ms={timeout_ms}",
-        routing.content_hash, routing.shard_hashes[shard]
-    );
-    if let Some(n) = max_dominance_tests {
-        line.push_str(&format!(" max_dominance_tests={n}"));
-    }
-    line.push_str(&format!(" bytes={body_len}"));
-    line
-}
-
-/// Validates one `FOLD` response (header payload plus `SKYSIG02` frame)
-/// into a completed leg: frame checksum, key tags, signature size and
-/// skyline coverage must all match the request. Shared by the blocking
-/// and multiplexed fan-out paths.
-#[allow(clippy::too_many_arguments)]
-fn parse_fold_leg(
-    header: &str,
-    body: Option<Vec<u8>>,
-    routing: &DatasetRouting,
-    shard: usize,
-    prefs_key: &str,
-    t: usize,
-    seed: u64,
-    skyline: &[usize],
-) -> Result<Leg, String> {
-    let body = body.ok_or_else(|| "fold response carried no frame".to_string())?;
-    let payload = frame::decode(&body).map_err(|e| e.to_string())?;
-    let (fp, tags) = decode_shard_signatures(payload).map_err(|e| e.to_string())?;
-    let want = [
-        routing.content_hash,
-        shard as u64,
-        prefs_hash(prefs_key),
-        seed,
-    ];
-    if tags != want {
-        return Err("fold artefact key tags do not match the request".to_string());
-    }
-    if fp.t() != t || fp.columns != skyline {
-        return Err("fold artefact does not cover the current skyline".to_string());
-    }
-    let tests = json_kv_u64(header, "tests").unwrap_or(0);
-    let reused = json_kv_u64(header, "reused") == Some(1);
-    let trip = match header
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("tripped="))
-    {
-        None | Some("none") => None,
-        Some("cancelled") => Some(LegTrip::Cancelled),
-        Some("deadline") => Some(LegTrip::Deadline),
-        Some("dominance") => Some(LegTrip::Dominance {
-            used: json_kv_u64(header, "trip_used").unwrap_or(tests),
-        }),
-        Some(other) => return Err(format!("unknown trip kind {other:?}")),
-    };
-    Ok(Leg {
-        fp,
-        reused,
-        tests,
-        trip,
-    })
-}
-
 /// Fails every still-pending leg with `msg(shard)` — deadline expiry or
 /// a poller breakdown ends the whole fan-out at once.
 fn fail_pending(
@@ -1581,13 +1341,13 @@ fn fail_pending(
     metrics: &Metrics,
     msg: impl Fn(usize) -> String,
 ) {
-    for (shard, leg) in legs.iter_mut().enumerate() {
+    for leg in legs.iter_mut() {
         if leg.done.is_none() {
             if let Some(conn) = leg.conn.take() {
                 let _ = poller.deregister(conn.stream.as_raw_fd());
             }
             metrics.bump(&metrics.fanout_failures);
-            leg.done = Some(Err(msg(shard)));
+            leg.done = Some(Err(msg(leg.shard)));
         }
     }
 }
@@ -1828,6 +1588,53 @@ mod tests {
         let (header, body) = h.fetch("ghost", 1, 0, "min,min", 8, 0).unwrap();
         assert_eq!(header, "found=0");
         assert!(body.is_none());
+    }
+
+    /// An `APPEND` grows the registry before it routes the new shard; a
+    /// query in that window must degrade (shard unavailable, nothing
+    /// memoised), not index past the routed hashes.
+    #[test]
+    fn unrouted_shard_degrades_instead_of_panicking() {
+        // Connects succeed but nothing ever answers, so every routed
+        // leg runs its request all the way to the fan-out deadline.
+        let worker = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let metrics = Arc::new(Metrics::new());
+        let registry = Registry::new(1 << 22, Arc::clone(&metrics));
+        let rows: Vec<f64> = (0..80).map(|i| ((i * 37) % 41) as f64).collect();
+        let data = Dataset::from_flat(2, rows);
+        registry.insert_sharded("d", ShardedDataset::partition(&data, 2));
+        let cs = ClusterState::new(
+            &ClusterConfig {
+                workers: vec![worker.local_addr().unwrap().to_string()],
+                shards: 2,
+                fanout_timeout_ms: 100,
+                ..ClusterConfig::default()
+            },
+            metrics,
+        );
+        let ds = registry.dataset("d").unwrap();
+        let shard0 = frame::encode_points(2, ds.data.shard_view(0).as_flat());
+        cs.routing.lock().unwrap().insert(
+            "d".to_string(),
+            DatasetRouting {
+                content_hash: ds.content_hash,
+                dims: 2,
+                shard_hashes: vec![fnv1a64(&shard0)],
+            },
+        );
+        let (prefs, key) = parse_prefs(None, 2).unwrap();
+        let budget = RunBudget::none().with_cancel_token(CancelToken::new());
+        for _ in 0..2 {
+            let (fp, cached, _) = cs
+                .fingerprint(&registry, "d", &prefs, &key, 16, 1, budget.clone())
+                .unwrap();
+            assert!(!cached, "a degraded answer is never memoised");
+            let reason = fp.interrupt.as_ref().map(|i| i.reason.clone());
+            assert!(
+                matches!(reason, Some(StopReason::ShardUnavailable { .. })),
+                "{reason:?}"
+            );
+        }
     }
 
     #[test]

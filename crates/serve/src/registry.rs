@@ -36,7 +36,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
 use skydiver_core::{
-    canonical_skyline, ExecContext, Fingerprint, RunBudget, SkyDiver, SkylinePhase,
+    canonical_skyline, ExecContext, Fingerprint, FoldSource, LocalFolds, RunBudget,
+    ShardedFingerprintRun, SkyDiver, SkylinePhase,
 };
 use skydiver_data::{io, Dataset, Preference, ShardedDataset};
 
@@ -447,6 +448,45 @@ impl Registry {
         Ok((canon, skyline))
     }
 
+    /// Core's fingerprint driver over `ds` for the memo key `(prefs_key,
+    /// t, seed)`, fed by `source` and run through the generation's
+    /// skyline memo; its dominance tests and reused shards are counted.
+    /// The one phase-1 path of [`Registry::fingerprint`] and the cluster
+    /// coordinator.
+    pub(crate) fn fold_dataset(
+        &self,
+        ds: &LoadedDataset,
+        prefs: &[Preference],
+        (prefs_key, t, seed): &(String, usize, u64),
+        budget: RunBudget,
+        source: &mut dyn FoldSource,
+    ) -> Result<ShardedFingerprintRun, String> {
+        // A dominance-test cap keeps the sequential row-order scan, so a
+        // trip lands on the same row as a single-threaded run.
+        let threads = match budget.max_dominance_tests() {
+            None => self.fold_threads,
+            Some(_) => 1,
+        };
+        let known = self.known_skyline(ds, prefs_key);
+        // `k` is irrelevant to phase 1; 2 is the smallest valid value.
+        let diver = SkyDiver::new(2)
+            .signature_size(*t)
+            .hash_seed(*seed)
+            .threads(threads)
+            .budget(budget);
+        let run = diver
+            .fingerprint_shards(&ds.data, prefs, known.as_deref(), source)
+            .map_err(|e| e.to_string())?;
+        if known.is_none() {
+            self.remember_skyline(ds, prefs_key, &run.fingerprint.skyline);
+        }
+        self.metrics
+            .add(&self.metrics.dominance_tests, run.dominance_tests);
+        self.metrics
+            .add(&self.metrics.shards_reused, run.reused_shards as u64);
+        Ok(run)
+    }
+
     /// The assembled fingerprint for `(name, prefs, t, seed)` — memoised
     /// if available, otherwise folded shard by shard under `budget`
     /// (reusing cached shard folds) and cached when complete. Returns
@@ -501,29 +541,7 @@ impl Registry {
                 }
             }
         }
-        // A dominance-test cap keeps the sequential row-order scan, so a
-        // trip lands on the same row as a single-threaded run.
-        let threads = match budget.max_dominance_tests() {
-            None => self.fold_threads,
-            Some(_) => 1,
-        };
-        let known = self.known_skyline(&ds, prefs_key);
-        // `k` is irrelevant to phase 1; 2 is the smallest valid value.
-        let diver = SkyDiver::new(2)
-            .signature_size(t)
-            .hash_seed(seed)
-            .threads(threads)
-            .budget(budget);
-        let run = diver
-            .fingerprint_shards(&ds.data, prefs, known.as_deref(), &cached)
-            .map_err(|e| e.to_string())?;
-        if known.is_none() {
-            self.remember_skyline(&ds, prefs_key, &run.fingerprint.skyline);
-        }
-        self.metrics
-            .add(&self.metrics.dominance_tests, run.dominance_tests);
-        self.metrics
-            .add(&self.metrics.shards_reused, run.reused_shards as u64);
+        let run = self.fold_dataset(&ds, prefs, &memo_key, budget, &mut LocalFolds(&cached))?;
         let dominance_tests = run.dominance_tests;
         let fp = Arc::new(run.fingerprint);
         if fp.is_complete() {

@@ -1269,26 +1269,12 @@ fn answer_query(
                     },
                 ));
             }
+            let (name, t, seed) = (&q.dataset, q.t, q.seed);
             let (fp, cached, dominance_tests) = match cluster {
-                Some(cs) => cs.fingerprint(
-                    registry,
-                    &q.dataset,
-                    &prefs,
-                    &prefs_key,
-                    q.t,
-                    q.seed,
-                    budget.clone(),
-                    q.max_dominance_tests,
-                    q.timeout_ms,
-                )?,
-                None => registry.fingerprint(
-                    &q.dataset,
-                    &prefs,
-                    &prefs_key,
-                    q.t,
-                    q.seed,
-                    budget.clone(),
-                )?,
+                Some(cs) => {
+                    cs.fingerprint(registry, name, &prefs, &prefs_key, t, seed, budget.clone())?
+                }
+                None => registry.fingerprint(name, &prefs, &prefs_key, t, seed, budget.clone())?,
             };
             let mut diver = SkyDiver::new(q.k)
                 .signature_size(q.t)
@@ -1377,19 +1363,10 @@ fn answer_batch(
         budget = budget.with_max_dominance_tests(n);
     }
     let metrics = Arc::clone(registry.metrics());
+    let (name, t, seed) = (&b.dataset, b.t, b.seed);
     let (fp, resolved_cached, resolved_tests) = match cluster {
-        Some(cs) => cs.fingerprint(
-            registry,
-            &b.dataset,
-            &prefs,
-            &prefs_key,
-            b.t,
-            b.seed,
-            budget.clone(),
-            b.max_dominance_tests,
-            b.timeout_ms,
-        )?,
-        None => registry.fingerprint(&b.dataset, &prefs, &prefs_key, b.t, b.seed, budget.clone())?,
+        Some(cs) => cs.fingerprint(registry, name, &prefs, &prefs_key, t, seed, budget.clone())?,
+        None => registry.fingerprint(name, &prefs, &prefs_key, t, seed, budget.clone())?,
     };
     let complete = fp.is_complete();
     let unbudgeted = b.timeout_ms.is_none() && b.max_dominance_tests.is_none();

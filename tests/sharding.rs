@@ -630,6 +630,34 @@ mod cluster_process {
         std::fs::remove_file(csv).ok();
     }
 
+    /// `t=0` is refused by core's own check on both paths, so the
+    /// coordinator's reply line is byte-identical to the single
+    /// process's.
+    #[test]
+    fn zero_signature_size_error_is_identical() {
+        let csv = tmp("zero-t.csv");
+        io::write_csv(&anticorrelated(500, 3, 93), &csv).expect("write csv");
+        let path = csv.to_str().unwrap().to_string();
+        let mut s = spec(5);
+        s.t = 0;
+
+        let mono = start_monolithic();
+        let mut mc = Client::connect(mono.addr()).expect("connect monolithic");
+        mc.load("d", &path).expect("monolithic load");
+        let reference = mc.request(&s.to_line()).expect("monolithic reply");
+        assert!(reference.starts_with("ERR "), "{reference}");
+
+        let workers = spawn_workers(1);
+        let coord = start_coordinator(&workers.addrs(), 1);
+        let mut cc = Client::connect(coord.addr()).expect("connect coordinator");
+        cc.load("d", &path).expect("cluster load");
+        assert_eq!(cc.request(&s.to_line()).expect("cluster reply"), reference);
+
+        cc.shutdown().expect("coordinator shutdown");
+        mc.shutdown().expect("monolithic shutdown");
+        std::fs::remove_file(csv).ok();
+    }
+
     /// R=1 with a dead owner cannot mask the loss — the query must still
     /// answer (degraded, shard reported unavailable) instead of erroring
     /// or hanging.
